@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotAPiBase, NotContinuous
-from .spaces import FiniteSpace, SpaceMap, from_subbasis
+from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis
 
 __all__ = [
     "OpenFamily",
@@ -135,13 +135,13 @@ def build_quotient(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> Qu
     classes = classes_of(space, members)
     assign = [0] * space.point_count
     for idx, c in enumerate(classes):
-        for x in _bits(c):
+        for x in bits_of(c):
             assign[x] = idx
     k = len(classes)
     images = []
     for m in members:
         img = 0
-        for x in _bits(m):
+        for x in bits_of(m):
             img |= 1 << assign[x]
         images.append(img)
     qspace = from_subbasis(k, images)
@@ -276,13 +276,6 @@ def _member_masks(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> tup
         if not space.is_open(m):
             raise ValueError("family member %r is not open" % m)
     return tuple(masks)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _union_of_members_below(target: int, pool: set[int]) -> int:

@@ -488,10 +488,7 @@ def verify_winning(
             replies_cache[a] = got
         return got
 
-    try:
-        move0, st0 = strategy.step(strategy.initial_state(), None)
-    except StateOverflow:
-        raise
+    move0, st0 = strategy.step(strategy.initial_state(), None)
     if not move0 or not space.is_open(move0):
         return VerifyResult(False, PlayTrace(rounds=(), loop_start=None), 0)
 

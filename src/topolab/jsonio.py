@@ -55,7 +55,21 @@ def encode_space(space: FiniteSpace) -> dict:
 
 
 def decode_space(obj: dict) -> FiniteSpace:
-    return FiniteSpace(int(obj["points"]), (list_to_mask(o) for o in obj["opens"]))
+    """Inverse of encode_space; checks shapes and point ranges before any
+    shift, so malformed input raises ValueError."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("opens"), list):
+        raise ValueError('a space is an object with "points" and an "opens" list')
+    n = obj.get("points")
+    if not _is_count(n):
+        raise ValueError('"points" must be a nonnegative integer')
+    for o in obj["opens"]:
+        if not isinstance(o, list) or not all(_is_count(p) and p < n for p in o):
+            raise ValueError("each open must be a list of points in range(%d)" % n)
+    return FiniteSpace(n, (list_to_mask(o) for o in obj["opens"]))
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def encode_map(m: SpaceMap) -> dict:

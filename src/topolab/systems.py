@@ -23,7 +23,7 @@ from .errors import (
 )
 from .families import OpenFamily, Quotient, build_quotient
 from .game import RoundRobinStrategy, Strategy
-from .spaces import FiniteSpace, SpaceMap, from_subbasis
+from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis
 
 __all__ = [
     "DirectedPoset",
@@ -396,7 +396,7 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
     base = all(
         any((m >> x) & 1 and m & ~o == 0 for m in union_members)
         for o in space.opens
-        for x in _bits(o)
+        for x in bits_of(o)
     )
     image = f.image_of(space.full)
     identity_ok = True
@@ -560,10 +560,3 @@ def check_sigma_completeness(
     if not h.is_open_map():
         return SigmaReport(False, sup, ("not_open",))
     return SigmaReport(True, sup, None)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

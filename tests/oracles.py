@@ -94,3 +94,48 @@ def all_surjections(dom: FiniteSpace, cod: FiniteSpace):
         sm = SpaceMap(dom, cod, assign)
         if sm.is_surjective():
             yield sm
+
+
+def preorders_by_filter(n: int) -> list[tuple[int, ...]]:
+    """Every reflexive transitive relation on n points, as row bitmasks.
+
+    Filters all 2**(n*(n-1)) relations, ascending by the code whose bit k
+    marks the k-th off-diagonal pair (i, j) in row-major order, and tests
+    transitivity by definition.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    out = []
+    for code in range(1 << len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if (code >> k) & 1:
+                rows[i] |= 1 << j
+        if all(
+            (rows[i] >> c) & 1
+            for i in range(n)
+            for j in bits_of(rows[i])
+            for c in bits_of(rows[j])
+        ):
+            out.append(tuple(rows))
+    return out
+
+
+def is_topology(n: int, family) -> bool:
+    """The lattice axioms on subsets of n points, checked pair by pair."""
+    fam = set(family)
+    full = (1 << n) - 1
+    return (
+        0 in fam
+        and full in fam
+        and all((a | b) in fam and (a & b) in fam for a in fam for b in fam)
+    )
+
+
+def upset_opens(rows) -> set[int]:
+    """The sets U with rows[i] inside U for every i in U, by scanning all U."""
+    n = len(rows)
+    return {
+        u
+        for u in range(1 << n)
+        if all(rows[i] & ~u == 0 for i in range(n) if (u >> i) & 1)
+    }

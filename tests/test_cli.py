@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from topolab import cli
 from topolab.suites import SuiteReport
 
@@ -74,6 +76,24 @@ def test_game_play_transcript():
 def test_game_rejects_bad_json():
     assert run_cli(["game", "solve"], stdin="{not json").returncode == 2
     assert run_cli(["game", "solve"], stdin='{"points":2,"opens":[[]]}').returncode == 2
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        '{"points":3,"opens":5}',
+        '{"points":3,"opens":[[0,"a"]]}',
+        "[1,2]",
+        '{"points":3,"opens":[[1000000000000]]}',
+    ],
+)
+def test_game_rejects_malformed_space(tmp_path, blob):
+    space_file = tmp_path / "bad.json"
+    space_file.write_text(blob)
+    out = run_cli(["game", "solve", "--in", str(space_file)])
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: bad space JSON")
+    assert "Traceback" not in out.stderr
 
 
 def test_repl_validates_and_finishes(tmp_path):
