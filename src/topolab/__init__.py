@@ -43,7 +43,6 @@ from .game import (
     play,
     seq_witness_strategies,
     solve_open_open,
-    union_strategy,
     verify_winning,
 )
 from .spaces import (

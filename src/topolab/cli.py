@@ -152,10 +152,14 @@ def _repl(space: FiniteSpace, args) -> int:
                 print("no input; stopping")
                 return 0
             try:
-                b = mask_of(int(tok) for tok in line.split())
+                points = [int(tok) for tok in line.split()]
             except ValueError:
                 print("could not parse; give point indices like: 0 2")
                 continue
+            if not all(0 <= p < space.point_count for p in points):
+                print("that set is not open: points lie in range(%d)" % space.point_count)
+                continue
+            b = mask_of(points)
             if not b:
                 print("the reply must be nonempty")
             elif not space.is_open(b):

@@ -36,9 +36,9 @@ class OpenFamily:
     members: frozenset[int]
 
     def __post_init__(self):
-        for m in self.members:
-            if not self.space.is_open(m):
-                raise ValueError("family member %r is not open" % m)
+        bad = [m for m in self.members if not self.space.is_open(m)]
+        if bad:
+            raise ValueError("family member %r is not open" % min(bad))
 
     @classmethod
     def of(cls, space: FiniteSpace, members: Iterable[int]) -> "OpenFamily":
@@ -130,9 +130,9 @@ class Quotient:
 
 
 def build_quotient(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> Quotient:
-    members = _member_masks(space, family)
-    fam = family if isinstance(family, OpenFamily) else OpenFamily.of(space, members)
-    classes = classes_of(space, members)
+    fam = family if isinstance(family, OpenFamily) else OpenFamily.of(space, family)
+    members = fam.members
+    classes = classes_of(space, fam)
     assign = [0] * space.point_count
     for idx, c in enumerate(classes):
         for x in bits_of(c):
@@ -148,10 +148,10 @@ def build_quotient(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> Qu
     qmap = SpaceMap(space, qspace, assign)
     identity = all(qmap.preimage_of(img) == m for m, img in zip(members, images))
     continuous = qmap.is_continuous()
+    # An open image containing c contains c's minimal neighborhood, so the
+    # images inside that neighborhood cover c only if one of them equals it.
     image_set = set(images)
-    base = all(
-        _union_of_members_below(o, image_set) == o for o in qspace.opens
-    )
+    base = all(qspace.minimal_open_neighborhood(c) in image_set for c in range(k))
     return Quotient(
         space=space,
         family=fam,
@@ -276,11 +276,3 @@ def _member_masks(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> tup
         if not space.is_open(m):
             raise ValueError("family member %r is not open" % m)
     return tuple(masks)
-
-
-def _union_of_members_below(target: int, pool: set[int]) -> int:
-    u = 0
-    for m in pool:
-        if m & ~target == 0:
-            u |= m
-    return u

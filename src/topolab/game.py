@@ -45,7 +45,6 @@ __all__ = [
     "play",
     "default_first_move",
     "seq_witness_strategies",
-    "union_strategy",
     "closure_under_strategies",
     "build_tclub_member",
     "check_condition_S",
@@ -269,9 +268,10 @@ class HybridClopenStrategy(Strategy):
 class HistoryStrategy(Strategy):
     """Wrap a raw history function as a transducer.
 
-    States are the observed histories, materialized lazily and capped;
-    exceeding the cap raises StateOverflow.  Useful for ad-hoc strategies;
-    the built-in ones are genuinely finite-state instead.
+    States are the observed histories, materialized lazily and capped per
+    run (``initial_state`` starts a fresh count); exceeding the cap raises
+    StateOverflow.  Useful for ad-hoc strategies; the built-in ones are
+    genuinely finite-state instead.
     """
 
     kind = "history"
@@ -282,6 +282,7 @@ class HistoryStrategy(Strategy):
         self._seen: set[tuple[int, ...]] = set()
 
     def initial_state(self):
+        self._seen.clear()
         return ()
 
     def step(self, state, observed):
@@ -600,10 +601,6 @@ def seq_witness_strategies(space: FiniteSpace) -> list[WitnessStrategy]:
     return [WitnessStrategy(space, complement=False), WitnessStrategy(space, complement=True)]
 
 
-def union_strategy(space: FiniteSpace) -> UnionStrategy:
-    return UnionStrategy(space)
-
-
 def _reachable_emissions(
     space: FiniteSpace, strategy: Strategy, feed: tuple[int, ...], state_limit: int = 100_000
 ) -> set[int]:
@@ -686,7 +683,7 @@ def build_tclub_member(space: FiniteSpace, seed: OpenFamily | Iterable[int]) -> 
     solution = solve_open_open(space)
     strategies: list[Strategy] = [HybridClopenStrategy(space, solution)]
     strategies += seq_witness_strategies(space)
-    strategies.append(union_strategy(space))
+    strategies.append(UnionStrategy(space))
 
     current = frozenset(m for m in masks if m)
     while True:

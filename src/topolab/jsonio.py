@@ -55,8 +55,9 @@ def encode_space(space: FiniteSpace) -> dict:
 
 
 def decode_space(obj: dict) -> FiniteSpace:
-    """Inverse of encode_space; checks shapes and point ranges before any
-    shift, so malformed input raises ValueError."""
+    """Inverse of encode_space; checks shapes, point ranges and that some
+    open lists every point (which bounds the point count by the input's
+    size) before any shift, so malformed input raises ValueError."""
     if not isinstance(obj, dict) or not isinstance(obj.get("opens"), list):
         raise ValueError('a space is an object with "points" and an "opens" list')
     n = obj.get("points")
@@ -65,6 +66,8 @@ def decode_space(obj: dict) -> FiniteSpace:
     for o in obj["opens"]:
         if not isinstance(o, list) or not all(_is_count(p) and p < n for p in o):
             raise ValueError("each open must be a list of points in range(%d)" % n)
+    if not any(len(set(o)) == n for o in obj["opens"]):
+        raise ValueError("no open lists all %d points" % n)
     return FiniteSpace(n, (list_to_mask(o) for o in obj["opens"]))
 
 

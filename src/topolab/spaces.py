@@ -1,11 +1,11 @@
-"""Finite topological spaces stored as explicit lattices of open sets.
+"""Finite topological spaces, carried by their specialization rows.
 
 Points are 0..n-1 and every subset of points is an int bitmask (bit i set
-means point i is in).  A space keeps the *full* family of open sets, so
-closure, interior, density, separation axioms and map properties all
-reduce to scans over that family.  Spaces are tiny by design, which makes
-exactness affordable everywhere; every value is immutable after
-construction and safe to share.
+means point i is in).  A space keeps its sorted opens and each point's
+row, the least open containing it.  The rows form a base, so interior,
+closure, generated topologies and map continuity and openness read them;
+separation axioms, clopens and skeletality scan the opens by definition.
+Every value is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -162,11 +162,12 @@ class FiniteSpace:
         return tuple(o for o in self.opens if o)
 
     def interior(self, mask: int) -> int:
+        """The points whose minimal open neighborhood lies inside mask."""
         self._check_range(mask)
         out = 0
-        for o in self.opens:
-            if o & ~mask == 0:
-                out |= o
+        for x, nbhd in enumerate(self._min_nbhd):
+            if nbhd & ~mask == 0:
+                out |= 1 << x
         return out
 
     def closure(self, mask: int) -> int:
@@ -289,9 +290,9 @@ class FiniteSpace:
 def from_subbasis(point_count: int, subbasis: Iterable[int]) -> FiniteSpace:
     """Smallest topology containing the given sets.
 
-    Closes under finite intersections first (the empty intersection is the
-    full set), then under arbitrary unions (the empty union is the empty
-    set).
+    A point's minimal open neighborhood is the intersection of the
+    generators containing it (the full set if none does), and those
+    neighborhoods are the rows of the topology's preorder.
     """
     full = (1 << point_count) - 1
     gens = set()
@@ -300,15 +301,11 @@ def from_subbasis(point_count: int, subbasis: Iterable[int]) -> FiniteSpace:
         if s < 0 or s & ~full:
             raise ValueError("subbasis member %r out of range for %d points" % (s, point_count))
         gens.add(s)
-    meets = {full}
-    for g in sorted(gens):
-        meets |= {m & g for m in meets}
-    opens = {0}
-    frontier = set(meets)
-    while frontier:
-        opens |= frontier
-        frontier = {a | b for a in opens for b in meets} - opens
-    return FiniteSpace(point_count, opens)
+    rows = [full] * point_count
+    for g in gens:
+        for x in bits_of(g):
+            rows[x] &= g
+    return FiniteSpace.from_preorder(rows)
 
 
 def frink_conditions(space: FiniteSpace, base: Iterable[int]) -> FrinkReport:
@@ -409,10 +406,15 @@ class SpaceMap:
         return SpaceMap(inner.domain, self.codomain, (self.assign[a] for a in inner.assign))
 
     def is_continuous(self) -> bool:
-        return all(self.domain.is_open(self.preimage_of(v)) for v in self.codomain.opens)
+        """Each minimal open neighborhood maps into that of its image point."""
+        return all(
+            self.image_of(nbhd) & ~self.codomain._min_nbhd[a] == 0
+            for nbhd, a in zip(self.domain._min_nbhd, self.assign)
+        )
 
     def is_open_map(self) -> bool:
-        return all(self.codomain.is_open(self.image_of(u)) for u in self.domain.opens)
+        """Each minimal open neighborhood has an open image (they form a base)."""
+        return all(self.codomain.is_open(self.image_of(nbhd)) for nbhd in self.domain._min_nbhd)
 
     def is_surjective(self) -> bool:
         return self.image_of(self.domain.full) == self.codomain.full

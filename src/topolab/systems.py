@@ -240,9 +240,11 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
     extend([])
     threads.sort()
     t = len(threads)
+    # A node's minimal open neighborhoods are a base: pulling back all opens adds nothing.
     subbasis = set()
     for i in range(n):
-        for v in sys.spaces[i].opens:
+        node = sys.spaces[i]
+        for v in {node.minimal_open_neighborhood(x) for x in range(node.point_count)}:
             mask = 0
             for ti, thread in enumerate(threads):
                 if (v >> thread[i]) & 1:
@@ -270,9 +272,6 @@ class SkeletalSystemReport:
 
 
 def check_skeletal_system(sys: InverseSystem) -> SkeletalSystemReport:
-    check = validate_system(sys)
-    if not check.ok:
-        raise InvalidSystem(check.witness)
     lim = limit_space(sys)
     bond_skel = {
         (i, j): sys.bond(i, j).is_skeletal() for i, j in sys.poset.pairs()
@@ -439,13 +438,10 @@ def limit_strategy(sys: InverseSystem) -> Strategy:
     the lift of a minimal open of the top space project back onto it, so
     the union of replies is dense in the limit.
     """
-    check = validate_system(sys)
-    if not check.ok:
-        raise InvalidSystem(check.witness)
+    lim = limit_space(sys)
     for i, j in sys.poset.pairs():
         if not sys.bond(i, j).is_skeletal():
             raise NonSkeletalBond("bond %d<=%d is not skeletal" % (i, j))
-    lim = limit_space(sys)
     if lim.space.point_count == 0:
         raise EmptySpace("the limit has no threads")
     chain = sys.poset.greedy_chain()

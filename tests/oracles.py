@@ -139,3 +139,41 @@ def upset_opens(rows) -> set[int]:
         for u in range(1 << n)
         if all(rows[i] & ~u == 0 for i in range(n) if (u >> i) & 1)
     }
+
+
+def subbasis_by_meets_and_unions(point_count: int, subbasis) -> FiniteSpace:
+    """Smallest topology containing the sets: close under finite
+    intersections (the empty one is the full set), then under unions."""
+    full = (1 << point_count) - 1
+    meets = {full}
+    for g in sorted(set(subbasis)):
+        meets |= {m & g for m in meets}
+    opens = {0}
+    frontier = set(meets)
+    while frontier:
+        opens |= frontier
+        frontier = {a | b for a in opens for b in meets} - opens
+    return FiniteSpace(point_count, opens)
+
+
+def continuous_by_preimages(m: SpaceMap) -> bool:
+    """Every open of the codomain pulls back to an open of the domain."""
+    return all(m.domain.is_open(m.preimage_of(v)) for v in m.codomain.opens)
+
+
+def open_by_images(m: SpaceMap) -> bool:
+    """Every open of the domain has an open image."""
+    return all(m.codomain.is_open(m.image_of(u)) for u in m.domain.opens)
+
+
+def base_by_unions_below(space: FiniteSpace, pool) -> bool:
+    """Every open is the union of the pool members inside it."""
+    pool = set(pool)
+    for o in space.opens:
+        u = 0
+        for m in pool:
+            if m & ~o == 0:
+                u |= m
+        if u != o:
+            return False
+    return True

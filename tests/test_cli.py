@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -8,15 +9,20 @@ from topolab import cli
 from topolab.suites import SuiteReport
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, preexec_fn=None):
     proc = subprocess.run(
         [sys.executable, "-m", "topolab.cli"] + args,
         input=stdin,
         capture_output=True,
         text=True,
         timeout=300,
+        preexec_fn=preexec_fn,
     )
     return proc
+
+
+def cap_memory_at_1gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def test_gen_space_deterministic():
@@ -103,6 +109,24 @@ def test_repl_validates_and_finishes(tmp_path):
     out = run_cli(["game", "repl", "--in", str(space_file)], stdin=moves)
     assert out.returncode == 0
     assert "must be nonempty" in out.stdout
+    assert "not open" in out.stdout
+    assert "Player I wins" in out.stdout
+
+
+def test_huge_point_indices_rejected_without_allocating(tmp_path):
+    # 1 << 100000000000 alone would need about 12.5 GB
+    huge = '{"points":100000000000,"opens":[[]]}'
+    out = run_cli(["game", "solve"], stdin=huge, preexec_fn=cap_memory_at_1gib)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: bad space JSON")
+    assert "Traceback" not in out.stderr
+
+    space_file = tmp_path / "d2.json"
+    space_file.write_text('{"points":2,"opens":[[],[0],[1],[0,1]]}')
+    moves = "100000000000\n0\n1\n"  # out of range, valid, valid
+    out = run_cli(["game", "repl", "--in", str(space_file)], stdin=moves, preexec_fn=cap_memory_at_1gib)
+    assert out.returncode == 0
+    assert "Traceback" not in out.stderr
     assert "not open" in out.stdout
     assert "Player I wins" in out.stdout
 

@@ -16,7 +16,12 @@ from topolab.families import (
 from topolab.randgen import random_family, random_space, rng_for
 from topolab.spaces import FiniteSpace, SpaceMap
 
-from oracles import all_surjections, kolmogorov_quotient
+from oracles import (
+    all_surjections,
+    base_by_unions_below,
+    kolmogorov_quotient,
+    subbasis_by_meets_and_unions,
+)
 
 CHAIN3 = FiniteSpace.chain(3)
 SIERP = FiniteSpace.sierpinski()
@@ -67,6 +72,18 @@ def test_quotient_lemma_exhaustive():
                 assert q.q_continuous
                 if fam.union_mask() == space.full:
                     assert q.image_is_base
+
+
+def test_image_is_base_against_oracle_exhaustive():
+    seen = set()
+    for space in all_spaces(3):
+        for members in every_family(space):
+            q = build_quotient(space, members)
+            images = [q.image_of(m) for m in members]
+            assert q.quotient_space == subbasis_by_meets_and_unions(len(q.classes), images)
+            assert q.image_is_base == base_by_unions_below(q.quotient_space, images)
+            seen.add(q.image_is_base)
+    assert seen == {False, True}
 
 
 def test_quotient_by_all_opens_is_t0_reflection():

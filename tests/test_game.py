@@ -10,6 +10,7 @@ from topolab.game import (
     LeastReplyStrategy,
     MinimalReplyStrategy,
     RoundRobinStrategy,
+    UnionStrategy,
     build_tclub_member,
     check_condition_S,
     closure_under_strategies,
@@ -20,7 +21,6 @@ from topolab.game import (
     play,
     seq_witness_strategies,
     solve_open_open,
-    union_strategy,
     verify_winning,
 )
 from topolab.randgen import random_clopen_seed, random_family, random_space, rng_for
@@ -180,9 +180,9 @@ def test_witness_strategy_examples():
 
 def test_closure_examples():
     comp = seq_witness_strategies(D2)[1]
-    fam = closure_under_strategies(D2, [0b01], [union_strategy(D2), comp])
+    fam = closure_under_strategies(D2, [0b01], [UnionStrategy(D2), comp])
     assert fam.members == frozenset({0b01, 0b10, 0b11})
-    again = closure_under_strategies(D2, fam, [union_strategy(D2), comp])
+    again = closure_under_strategies(D2, fam, [UnionStrategy(D2), comp])
     assert again.members == fam.members
 
     const = RoundRobinStrategy(D3, [0b010])
@@ -208,6 +208,12 @@ def test_history_strategy_wrapper():
     tiny = HistoryStrategy(union_of, state_cap=1)
     with pytest.raises(StateOverflow):
         closure_under_strategies(D2, [0b01, 0b10], [tiny])
+
+
+def test_history_strategy_cap_counts_one_run():
+    tally = HistoryStrategy(lambda history: 0b01, state_cap=3)
+    for b in (0b01, 0b10, 0b11):
+        assert tally.apply_history([b]) == 0b01  # two states per run
 
 
 def test_tclub_examples():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,14 @@ from topolab.errors import NotABase, NotContinuous, NotSurjective
 from topolab.randgen import random_space, rng_for
 from topolab.spaces import FiniteSpace, SpaceMap, frink_conditions, from_subbasis
 
-from oracles import closure_by_closed_scan, interior_by_definition, two_valued_separation
+from oracles import (
+    closure_by_closed_scan,
+    continuous_by_preimages,
+    interior_by_definition,
+    open_by_images,
+    subbasis_by_meets_and_unions,
+    two_valued_separation,
+)
 
 SIERP = FiniteSpace.sierpinski()
 D2 = FiniteSpace.discrete(2)
@@ -16,6 +25,14 @@ def test_from_subbasis_examples():
     assert set(from_subbasis(3, [0b001, 0b010]).opens) == {0, 1, 2, 3, 0b111}
     assert set(from_subbasis(2, []).opens) == {0, 0b11}
     assert set(from_subbasis(2, [0b10]).opens) == {0, 0b10, 0b11}
+
+
+def test_from_subbasis_against_meets_and_unions():
+    rng = rng_for(0, "subbasis-oracle")
+    for _ in range(3000):
+        n = rng.randrange(7)
+        gens = [rng.randrange(1 << n) for _ in range(rng.randrange(7))]
+        assert from_subbasis(n, gens) == subbasis_by_meets_and_unions(n, gens)
 
 
 def test_from_subbasis_range_error():
@@ -108,6 +125,19 @@ def test_map_examples():
     assert not d2_to_sierp.is_open_map()
     sierp_to_d2 = SpaceMap(SIERP, D2, [0, 1])
     assert not sierp_to_d2.is_continuous()
+
+
+def test_continuity_and_openness_against_oracles_exhaustive():
+    spaces = all_spaces(3)
+    seen = set()
+    for dom in spaces:
+        for cod in spaces:
+            for assign in product(range(cod.point_count), repeat=dom.point_count):
+                m = SpaceMap(dom, cod, assign)
+                verdict = (m.is_continuous(), m.is_open_map())
+                assert verdict == (continuous_by_preimages(m), open_by_images(m))
+                seen.add(verdict)
+    assert len(seen) == 4
 
 
 def test_skeletal_examples():

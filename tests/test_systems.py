@@ -23,6 +23,8 @@ from topolab.systems import (
     validate_system,
 )
 
+from oracles import subbasis_by_meets_and_unions
+
 D2 = FiniteSpace.discrete(2)
 D4 = FiniteSpace.discrete(4)
 SIERP = FiniteSpace.sierpinski()
@@ -89,6 +91,23 @@ def test_limit_requires_valid_system():
     bad = two_node_system(D2, D2, [0, 0])
     with pytest.raises(InvalidSystem):
         limit_space(bad)
+
+
+def test_limit_topology_against_pullbacks_of_all_opens():
+    rng = rng_for(5, "limit-oracle")
+    for i in range(60):
+        if i % 2:
+            sys = random_quotient_chain(rng, 2 + (i % 3), 2 + (i % 4))
+        else:
+            space = random_space(rng, 2 + (i % 3))
+            sys = system_from_families(space, random_union_closed_families(rng, space, 3)).system
+        lim = limit_space(sys)
+        pullbacks = [
+            lim.projections[k].preimage_of(v)
+            for k, node in enumerate(sys.spaces)
+            for v in node.opens
+        ]
+        assert lim.space == subbasis_by_meets_and_unions(len(lim.threads), pullbacks)
 
 
 def test_projection_functoriality():
