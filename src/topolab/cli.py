@@ -68,8 +68,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _read_space(path: str | None) -> FiniteSpace:
-    data = open(path).read() if path else sys.stdin.read()
-    return jsonio.decode_space(json.loads(data))
+    if not path:
+        return jsonio.decode_space(json.loads(sys.stdin.read()))
+    with open(path) as fh:
+        return jsonio.decode_space(json.loads(fh.read()))
 
 
 # -- gen ---------------------------------------------------------------
@@ -259,7 +261,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # --in or --out names a path that cannot be used
+        return _fail_usage(str(exc))
 
 
 if __name__ == "__main__":

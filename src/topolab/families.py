@@ -148,10 +148,10 @@ def build_quotient(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> Qu
     qmap = SpaceMap(space, qspace, assign)
     identity = all(qmap.preimage_of(img) == m for m, img in zip(members, images))
     continuous = qmap.is_continuous()
-    # An open image containing c contains c's minimal neighborhood, so the
-    # images inside that neighborhood cover c only if one of them equals it.
+    # An open image containing c contains c's row, so the images inside
+    # that row cover c only if one of them equals it.
     image_set = set(images)
-    base = all(qspace.minimal_open_neighborhood(c) in image_set for c in range(k))
+    base = all(r in image_set for r in qspace.rows)
     return Quotient(
         space=space,
         family=fam,
@@ -234,10 +234,11 @@ def is_skeletal_family(
 
     Holds when every nonempty open V admits a member W such that every
     nonempty member inside W meets V.  On failure returns the least open V
-    without such a W.
+    without such a W.  A subset of a failing V fails too, and every
+    nonempty open contains a row no larger than itself, so that V is a row.
     """
     members = [m for m in _member_masks(space, family) if m]
-    for v in space.nonempty_opens():
+    for v in sorted(set(space.rows)):
         good = False
         for w in members:
             if all(u & v for u in members if u & ~w == 0):
@@ -257,7 +258,8 @@ def family_from_map(space_map: SpaceMap, pibase: Iterable[int]) -> OpenFamily:
     for v in members:
         if v == 0 or not cod.is_open(v):
             raise NotAPiBase("pi-base members must be nonempty opens")
-    for o in cod.nonempty_opens():
+    # An open holding no member contains a row holding none, no larger.
+    for o in sorted(set(cod.rows)):
         if not any(v & ~o == 0 for v in members):
             raise NotAPiBase("open %r contains no pi-base member" % o)
     return OpenFamily.of(space_map.domain, (space_map.preimage_of(v) for v in members))

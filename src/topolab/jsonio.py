@@ -18,7 +18,6 @@ from .systems import DirectedPoset, InverseSystem
 __all__ = [
     "dumps",
     "mask_to_list",
-    "list_to_mask",
     "encode_space",
     "decode_space",
     "encode_map",
@@ -43,10 +42,6 @@ def mask_to_list(mask: int) -> list[int]:
     return list(bits_of(mask))
 
 
-def list_to_mask(points: list[int]) -> int:
-    return mask_of(points)
-
-
 def encode_space(space: FiniteSpace) -> dict:
     return {
         "points": space.point_count,
@@ -68,7 +63,7 @@ def decode_space(obj: dict) -> FiniteSpace:
             raise ValueError("each open must be a list of points in range(%d)" % n)
     if not any(len(set(o)) == n for o in obj["opens"]):
         raise ValueError("no open lists all %d points" % n)
-    return FiniteSpace(n, (list_to_mask(o) for o in obj["opens"]))
+    return FiniteSpace(n, (mask_of(o) for o in obj["opens"]))
 
 
 def _is_count(value) -> bool:
@@ -98,7 +93,7 @@ def encode_family(fam: OpenFamily) -> dict:
 
 def decode_family(obj: dict) -> OpenFamily:
     space = decode_space(obj["space"])
-    return OpenFamily.of(space, (list_to_mask(m) for m in obj["members"]))
+    return OpenFamily.of(space, (mask_of(m) for m in obj["members"]))
 
 
 def encode_quotient(q: Quotient) -> dict:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .families import OpenFamily
-from .spaces import FiniteSpace, SpaceMap
+from .spaces import FiniteSpace, SpaceMap, bits_of
 from .systems import DirectedPoset, InverseSystem
 
 __all__ = [
@@ -82,17 +82,12 @@ def _random_merge(rng: random.Random, space: FiniteSpace) -> SpaceMap:
     for x in range(n):
         y = a if x == b else x
         assign.append(y - 1 if y > b else y)
-    m = n - 1
-    opens = set()
-    for u in range(1 << m):
-        pre = 0
-        for x in range(n):
-            if (u >> assign[x]) & 1:
-                pre |= 1 << x
-        if space.is_open(pre):
-            opens.add(u)
-    target = FiniteSpace(m, opens)
-    return SpaceMap(space, target, assign)
+    # The quotient preorder is the transitive closure of the pushed-forward one.
+    rows = [0] * (n - 1)
+    for x, r in enumerate(space.rows):
+        for y in bits_of(r):
+            rows[assign[x]] |= 1 << assign[y]
+    return SpaceMap(space, FiniteSpace.from_preorder(rows), assign)
 
 
 def random_quotient_chain(

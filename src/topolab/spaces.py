@@ -1,11 +1,13 @@
 """Finite topological spaces, carried by their specialization rows.
 
 Points are 0..n-1 and every subset of points is an int bitmask (bit i set
-means point i is in).  A space keeps its sorted opens and each point's
-row, the least open containing it.  The rows form a base, so interior,
-closure, generated topologies and map continuity and openness read them;
-separation axioms, clopens and skeletality scan the opens by definition.
-Every value is immutable after construction and safe to share.
+means point i is in).  A finite topology is its specialization preorder
+(Stong 1966): ``rows[x]`` is the least open containing x, the up-set of x.
+A space keeps those rows and its sorted opens, their union closure.  The
+rows form a base, so interior, closure, separation axioms, generated
+topologies, skeletality and map continuity and openness all read them;
+only ``clopens`` and ``nonempty_opens`` list the opens.  Every value is
+immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ def mask_of(points: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class SeparationReport:
+    """Separation axioms of a finite space.  There ``hausdorff`` equals
+    ``t1`` and ``completely_regular`` equals ``regular``."""
+
     t0: bool
     t1: bool
     hausdorff: bool
@@ -66,77 +71,92 @@ class FrinkReport:
 
 
 class FiniteSpace:
-    """A topology on {0..point_count-1}.
+    """A topology on {0..point_count-1}, carried by its rows.
 
-    ``opens`` is a sorted tuple of bitmasks.  The constructor validates the
-    lattice axioms (empty set and full set present, closure under pairwise
-    union and intersection), so a constructed space is always a topology.
-    Since every member and every meet of two is the union of the minimal
-    neighborhoods of its points, it suffices that o | nbhd is a member for
-    every member o and minimal neighborhood nbhd (o = 0 makes nbhd one):
-    O(|opens|*n) lookups, not O(|opens|**2).
+    ``rows[x]`` is the least open containing x; ``opens`` is the sorted
+    tuple of all opens, the unions of rows.  Equality and hashing compare
+    the rows.
+
+    ``FiniteSpace(n, opens)`` validates input from outside: the empty and
+    full sets must be present, and the family closed under union and
+    intersection.  Since every member and every meet of two is the union
+    of the rows of its points, it suffices that o | row is a member for
+    every member o and row (o = 0 makes each row one): O(|opens|*n)
+    lookups, not O(|opens|**2).  ``from_preorder`` and the named
+    constructors build from rows, which need only a range check; they hand
+    ``__init__`` the closed rows as ``_rows``, which skips the derivation
+    and the check, so every space is still constructed by ``__init__``.
     """
 
-    __slots__ = ("point_count", "opens", "_open_set", "_min_nbhd")
+    __slots__ = ("point_count", "opens", "_open_set", "rows")
 
-    def __init__(self, point_count: int, opens: Iterable[int]):
-        if point_count < 0:
-            raise ValueError("point_count must be >= 0")
-        full = (1 << point_count) - 1
-        open_set = frozenset(int(o) for o in opens)
-        for o in open_set:
-            if o < 0 or o & ~full:
-                raise ValueError("open set %r out of range for %d points" % (o, point_count))
-        if 0 not in open_set or full not in open_set:
-            raise ValueError("a topology must contain the empty set and the full point set")
-        members = sorted(open_set)
-        nbhd = []
-        for x in range(point_count):
-            m = full
-            for o in members:
-                if (o >> x) & 1:
-                    m &= o
-            nbhd.append(m)
-        for m in set(nbhd):
-            if not open_set.issuperset([o | m for o in members]):
-                raise ValueError("opens not closed under union/intersection")
+    def __init__(
+        self, point_count: int, opens: Iterable[int], *, _rows: tuple[int, ...] | None = None
+    ):
+        if _rows is None:
+            if point_count < 0:
+                raise ValueError("point_count must be >= 0")
+            full = (1 << point_count) - 1
+            open_set = frozenset(int(o) for o in opens)
+            for o in open_set:
+                if o < 0 or o & ~full:
+                    raise ValueError("open set %r out of range for %d points" % (o, point_count))
+            if 0 not in open_set or full not in open_set:
+                raise ValueError("a topology must contain the empty set and the full point set")
+            members = sorted(open_set)
+            rows = []
+            for x in range(point_count):
+                m = full
+                for o in members:
+                    if (o >> x) & 1:
+                        m &= o
+                rows.append(m)
+            for m in set(rows):
+                if not open_set.issuperset([o | m for o in members]):
+                    raise ValueError("opens not closed under union/intersection")
+            _rows = tuple(rows)
+        else:
+            # from_preorder: the opens are the union closure of closed rows.
+            open_set = frozenset(opens)
         self.point_count = point_count
-        self.opens = tuple(members)
+        self.opens = tuple(sorted(open_set))
         self._open_set = open_set
-        self._min_nbhd = tuple(nbhd)
+        self.rows = _rows
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def discrete(cls, n: int) -> "FiniteSpace":
-        return cls(n, range(1 << n))
+        return cls.from_preorder([1 << x for x in range(n)])
 
     @classmethod
     def indiscrete(cls, n: int) -> "FiniteSpace":
-        return cls(n, {0, (1 << n) - 1})
+        return cls.from_preorder([(1 << n) - 1] * n)
 
     @classmethod
     def sierpinski(cls) -> "FiniteSpace":
         """Two points with exactly one nontrivial open set, {1}."""
-        return cls(2, {0b00, 0b10, 0b11})
+        return cls.from_preorder([0b11, 0b10])
 
     @classmethod
     def chain(cls, n: int) -> "FiniteSpace":
         """Opens are the prefixes {}, {0}, {0,1}, ..., {0..n-1}."""
-        return cls(n, {(1 << k) - 1 for k in range(n + 1)})
+        return cls.from_preorder([(2 << x) - 1 for x in range(n)])
 
     @classmethod
     def from_preorder(cls, rows: Iterable[int]) -> "FiniteSpace":
         """Topology of up-sets of a relation.
 
-        ``rows[i]`` is the bitmask of all j with i <= j; opens are the sets
-        U with rows[i] contained in U for every i in U: the unions of the
-        rows of the reflexive transitive closure, which is how they are
-        built.  Distinct preorders give distinct topologies and every
-        finite topology arises this way.
+        ``rows[i]`` is the bitmask of all j with i <= j, each within the
+        points; opens are the sets U with rows[i] contained in U for every
+        i in U: the unions of the rows of the reflexive transitive closure,
+        which is how they are built.  Distinct preorders give distinct
+        topologies and every finite topology arises this way.
         """
         rows = [r | 1 << i for i, r in enumerate(rows)]
         n = len(rows)
+        if any(r >> n for r in rows):
+            raise ValueError("row out of range for %d points" % n)
         for k in range(n):
             for i in range(n):
                 if (rows[i] >> k) & 1:
@@ -144,7 +164,7 @@ class FiniteSpace:
         opens = {0}
         for m in set(rows):
             opens |= {o | m for o in opens}
-        return cls(n, opens)
+        return cls(n, opens, _rows=tuple(rows))
 
     # -- basic queries -------------------------------------------------
 
@@ -162,11 +182,11 @@ class FiniteSpace:
         return tuple(o for o in self.opens if o)
 
     def interior(self, mask: int) -> int:
-        """The points whose minimal open neighborhood lies inside mask."""
+        """The points whose row lies inside mask."""
         self._check_range(mask)
         out = 0
-        for x, nbhd in enumerate(self._min_nbhd):
-            if nbhd & ~mask == 0:
+        for x, row in enumerate(self.rows):
+            if row & ~mask == 0:
                 out |= 1 << x
         return out
 
@@ -178,18 +198,18 @@ class FiniteSpace:
         return self.closure(mask) == self.full
 
     def minimal_open_neighborhood(self, x: int) -> int:
-        """Intersection of all opens containing x; open by finiteness."""
+        """Intersection of all opens containing x: row x."""
         if not 0 <= x < self.point_count:
             raise ValueError("point %d out of range" % x)
-        return self._min_nbhd[x]
+        return self.rows[x]
 
     def minimal_open_family(self) -> tuple[int, ...]:
-        """The inclusion-minimal sets among the minimal open neighborhoods.
+        """The inclusion-minimal rows.
 
         In a finite space these form a pi-base: every nonempty open
         contains one of them.
         """
-        distinct = sorted(set(self._min_nbhd))
+        distinct = sorted(set(self.rows))
         keep = []
         for m in distinct:
             if not any(o != m and o & ~m == 0 for o in distinct):
@@ -218,53 +238,22 @@ class FiniteSpace:
     # -- separation axioms ----------------------------------------------
 
     def separation_flags(self) -> SeparationReport:
-        """All flags by direct definition.
+        """All flags from the rows.
 
-        ``completely_regular`` uses the finite characterization "the clopen
-        sets form a base", which matches separating points from closed sets
-        by two-valued continuous maps (cozero sets of a finite space are
-        exactly the clopen ones).
+        T0: the rows are distinct.  T1: every row is a singleton, which on
+        a finite space is also Hausdorff.  Regular: for all x and y, y lies
+        in row[x] or the two rows are disjoint, i.e. the preorder is
+        symmetric; then every row is clopen, so the clopen sets form a
+        base, the finite reading of ``completely_regular`` (cozero sets of
+        a finite space are exactly the clopen ones).
         """
-        n = self.point_count
-        opens = self.opens
-        t0 = t1 = hausdorff = True
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                sep_xy = any((o >> x) & 1 and not (o >> y) & 1 for o in opens)
-                if not sep_xy:
-                    t1 = False
-                    if x < y and not any(
-                        (o >> y) & 1 and not (o >> x) & 1 for o in opens
-                    ):
-                        t0 = False
-                if x < y:
-                    if not any(
-                        (u >> x) & 1 and (v >> y) & 1 and u & v == 0
-                        for u in opens
-                        for v in opens
-                    ):
-                        hausdorff = False
-        regular = True
-        closed_sets = [self.full ^ o for o in opens]
-        for c in closed_sets:
-            for x in range(n):
-                if (c >> x) & 1:
-                    continue
-                if not any(
-                    (u >> x) & 1 and c & ~v == 0 and u & v == 0
-                    for u in opens
-                    for v in opens
-                ):
-                    regular = False
-        clop = self.clopens()
-        completely_regular = all(
-            any((c >> x) & 1 and c & ~o == 0 for c in clop)
-            for o in opens
-            for x in bits_of(o)
+        rows = self.rows
+        t0 = len(set(rows)) == len(rows)
+        t1 = all(r == 1 << x for x, r in enumerate(rows))
+        regular = all(
+            (rx >> y) & 1 or rx & ry == 0 for rx in rows for y, ry in enumerate(rows)
         )
-        return SeparationReport(t0, t1, hausdorff, regular, completely_regular)
+        return SeparationReport(t0, t1, t1, regular, regular)
 
     # -- plumbing --------------------------------------------------------
 
@@ -276,11 +265,11 @@ class FiniteSpace:
         return (
             isinstance(other, FiniteSpace)
             and self.point_count == other.point_count
-            and self._open_set == other._open_set
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.point_count, self._open_set))
+        return hash((self.point_count, self.rows))
 
     def __repr__(self) -> str:
         sets = ",".join("{" + ",".join(map(str, bits_of(o))) + "}" for o in self.opens)
@@ -322,13 +311,14 @@ def frink_conditions(space: FiniteSpace, base: Iterable[int]) -> FrinkReport:
     for b in members:
         if not space.is_open(b):
             raise NotABase("base member %r is not open" % b)
-    for o in space.opens:
-        u = 0
-        for b in members:
-            if b & ~o == 0:
-                u |= b
-        if u != o:
-            raise NotABase("open %r is not a union of base members" % o)
+    # Every open is a union of members iff every row is a member (a member
+    # holding x inside row[x] is row[x]).  An open that is not such a union
+    # has a point x with no member holding x inside it; row[x] fails then
+    # too and is no larger, so the least failing open is a row.
+    member_set = set(members)
+    for r in sorted(set(space.rows)):
+        if r not in member_set:
+            raise NotABase("open %r is not a union of base members" % r)
 
     cond1, w1 = True, None
     for x in range(space.point_count):
@@ -406,15 +396,15 @@ class SpaceMap:
         return SpaceMap(inner.domain, self.codomain, (self.assign[a] for a in inner.assign))
 
     def is_continuous(self) -> bool:
-        """Each minimal open neighborhood maps into that of its image point."""
+        """Each domain row maps into the codomain row of its image point."""
         return all(
-            self.image_of(nbhd) & ~self.codomain._min_nbhd[a] == 0
-            for nbhd, a in zip(self.domain._min_nbhd, self.assign)
+            self.image_of(row) & ~self.codomain.rows[a] == 0
+            for row, a in zip(self.domain.rows, self.assign)
         )
 
     def is_open_map(self) -> bool:
-        """Each minimal open neighborhood has an open image (they form a base)."""
-        return all(self.codomain.is_open(self.image_of(nbhd)) for nbhd in self.domain._min_nbhd)
+        """Each domain row has an open image (the rows form a base)."""
+        return all(self.codomain.is_open(self.image_of(row)) for row in self.domain.rows)
 
     def is_surjective(self) -> bool:
         return self.image_of(self.domain.full) == self.codomain.full
@@ -430,10 +420,11 @@ class SpaceMap:
             raise NotContinuous("skeletality is defined for continuous maps only")
         if not self.is_surjective():
             raise NotSurjective("skeletality is defined for surjections only")
+        # Each nonempty open contains a row no larger than itself, and a
+        # subset of a violating open violates too, so the least violating
+        # open is a row.
         cod = self.codomain
-        for u in self.domain.opens:
-            if u == 0:
-                continue
+        for u in sorted(set(self.domain.rows)):
             if cod.interior(cod.closure(self.image_of(u))) == 0:
                 return u
         return None

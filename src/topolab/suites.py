@@ -121,16 +121,17 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
 
     # closure/interior laws and the neighborhood facts, every subset
     for space in all_spaces(max_points):
+        tag = _space_tag(space)
         full = space.full
         for s in range(full + 1):
             cl = space.closure(s)
-            rep.check(space.closure(cl) == cl, "closure_idempotent", [_space_tag(space), s])
-            rep.check(s & ~cl == 0, "closure_extensive", [_space_tag(space), s])
-            rep.check(space.interior(s) & ~s == 0, "interior_contractive", [_space_tag(space), s])
+            rep.check(space.closure(cl) == cl, "closure_idempotent", [tag, s])
+            rep.check(s & ~cl == 0, "closure_extensive", [tag, s])
+            rep.check(space.interior(s) & ~s == 0, "interior_contractive", [tag, s])
             rep.check(
                 space.interior(s) == full ^ space.closure(full ^ s),
                 "interior_closure_dual",
-                [_space_tag(space), s],
+                [tag, s],
             )
         minimal = space.minimal_open_family()
         for x in range(space.point_count):
@@ -138,56 +139,58 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
             rep.check(
                 space.is_open(m) and all(not ((o >> x) & 1) or m & ~o == 0 for o in space.opens),
                 "minimal_neighborhood_least",
-                [_space_tag(space), x],
+                [tag, x],
             )
         for o in space.nonempty_opens():
             rep.check(
                 any(m & ~o == 0 for m in minimal),
                 "pi_base_minimal_opens",
-                [_space_tag(space), o],
+                [tag, o],
             )
 
         flags = space.separation_flags()
         rep.check(
             (not flags.hausdorff or flags.t1) and (not flags.t1 or flags.t0),
             "separation_implications",
-            _space_tag(space),
+            tag,
         )
         rep.check(
             not (flags.regular and flags.t0) or flags.hausdorff,
             "regular_t0_hausdorff",
-            _space_tag(space),
+            tag,
         )
         if flags.hausdorff:
             fr = frink_conditions(space, space.opens)
-            rep.check(fr.cond1 and fr.cond2, "frink_on_hausdorff", _space_tag(space))
+            rep.check(fr.cond1 and fr.cond2, "frink_on_hausdorff", tag)
         # two-valued-map oracle for the clopen-base reading of complete regularity
         oracle = _completely_regular_oracle(space)
         rep.check(
             flags.completely_regular == oracle,
             "completely_regular_oracle",
-            _space_tag(space),
+            tag,
         )
 
     # quotient identity, continuity and base behavior, every family
     for space in small:
+        stag = _space_tag(space)
         for members in _families_over(space):
+            tag = [stag, sorted(members)]
             fam = OpenFamily.of(space, members)
             q = build_quotient(space, fam)
-            rep.check(q.identity_holds, "q_preimage_identity", [_space_tag(space), sorted(members)])
+            rep.check(q.identity_holds, "q_preimage_identity", tag)
             if fam.is_intersection_closed():
-                rep.check(q.q_continuous, "meet_closed_continuous", [_space_tag(space), sorted(members)])
+                rep.check(q.q_continuous, "meet_closed_continuous", tag)
                 if fam.union_mask() == space.full:
-                    rep.check(q.image_is_base, "meet_closed_cover_base", [_space_tag(space), sorted(members)])
+                    rep.check(q.image_is_base, "meet_closed_cover_base", tag)
 
             seq_a = seq_family(space, fam).members
             seq_b = seq_family_bruteforce(space, fam).members
-            rep.check(seq_a == seq_b, "seq_closed_form_vs_search", [_space_tag(space), sorted(members)])
+            rep.check(seq_a == seq_b, "seq_closed_form_vs_search", tag)
             if seq_a and fam.members:
                 u = 0
                 for m in fam.members:
                     u |= m
-                rep.check(u == space.full, "seq_nonempty_forces_cover", [_space_tag(space), sorted(members)])
+                rep.check(u == space.full, "seq_nonempty_forces_cover", tag)
 
             inside_seq = fam.members <= seq_a
             if inside_seq and fam.is_ring():
@@ -195,34 +198,35 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
                 rep.check(
                     all(w in seq_a for w in unions),
                     "ring_unions_stay_in_seq",
-                    [_space_tag(space), sorted(members)],
+                    tag,
                 )
             if inside_seq:
                 qflags = q.quotient_space.separation_flags()
-                rep.check(qflags.hausdorff, "seq_quotient_hausdorff", [_space_tag(space), sorted(members)])
+                rep.check(qflags.hausdorff, "seq_quotient_hausdorff", tag)
                 rep.check(
                     len(q.quotient_space.opens) == 1 << q.quotient_space.point_count,
                     "seq_quotient_discrete",
-                    [_space_tag(space), sorted(members)],
+                    tag,
                 )
                 if fam.members and fam.is_intersection_closed():
-                    rep.check(qflags.regular, "seq_meet_quotient_regular", [_space_tag(space), sorted(members)])
+                    rep.check(qflags.regular, "seq_meet_quotient_regular", tag)
                 if fam.is_ring():
                     rep.check(
                         qflags.completely_regular,
                         "seq_ring_quotient_completely_regular",
-                        [_space_tag(space), sorted(members)],
+                        tag,
                     )
             rc = ring_closure(fam)
             rep.check(
                 ring_closure(rc).members == rc.members,
                 "ring_closure_idempotent",
-                [_space_tag(space), sorted(members)],
+                tag,
             )
 
     # quotient by all opens is the T0 reflection: classes group points with
     # equal minimal neighborhoods, images of opens are exactly the opens
     for space in small:
+        tag = _space_tag(space)
         q = build_quotient(space, space.opens)
         by_nbhd: dict[int, int] = {}
         for x in range(space.point_count):
@@ -231,18 +235,18 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
         rep.check(
             set(by_nbhd.values()) == set(q.classes),
             "t0_reflection_classes",
-            _space_tag(space),
+            tag,
         )
         quotient_kind = {q.image_of(o) for o in space.opens}
         rep.check(
             quotient_kind == set(q.quotient_space.opens),
             "t0_reflection_opens_are_images",
-            _space_tag(space),
+            tag,
         )
         rep.check(
             q.quotient_space.separation_flags().t0,
             "t0_reflection_is_t0",
-            _space_tag(space),
+            tag,
         )
 
     # random families on 4 and 5 points for the sequence-closure agreement
@@ -261,14 +265,17 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
     for dom in small:
         if dom.point_count == 0:
             continue
+        dom_tag = _space_tag(dom)
         for cod in small:
             if cod.point_count == 0 or cod.point_count > dom.point_count:
                 continue
+            cod_tag = _space_tag(cod)
             for assign in _assignments(dom.point_count, cod.point_count):
                 m = SpaceMap(dom, cod, assign)
                 if not m.is_surjective() or not m.is_continuous():
                     continue
                 surjection_count += 1
+                tag = [dom_tag, cod_tag, list(assign)]
                 skel = m.is_skeletal()
                 for pibase in _pi_bases(cod):
                     fam = family_from_map(m, pibase)
@@ -276,7 +283,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
                     rep.check(
                         ok == skel,
                         "skeletal_family_iff_map",
-                        [_space_tag(dom), _space_tag(cod), list(assign), sorted(pibase)],
+                        tag + [sorted(pibase)],
                     )
                 if skel:
                     for v in cod.opens:
@@ -284,13 +291,13 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
                             rep.check(
                                 dom.is_dense(m.preimage_of(v)),
                                 "skeletal_dense_preimage",
-                                [_space_tag(dom), _space_tag(cod), list(assign), v],
+                                tag + [v],
                             )
                 if m.is_open_map():
                     rep.check(
                         skel,
                         "open_implies_skeletal",
-                        [_space_tag(dom), _space_tag(cod), list(assign)],
+                        tag,
                     )
     rep.counts["continuous_surjections"] = surjection_count
     return rep
@@ -355,17 +362,18 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
         count = 0
         for space in all_topologies(n):
             count += 1
+            tag = _space_tag(space)
             sol = solve_open_open(space)
-            rep.check(sol.winner == "I", "player_I_wins_everywhere", _space_tag(space))
+            rep.check(sol.winner == "I", "player_I_wins_everywhere", tag)
             vr = verify_winning(space, sol.strategy)
-            rep.check(vr.winning, "solver_strategy_verified", _space_tag(space))
+            rep.check(vr.winning, "solver_strategy_verified", tag)
             vm = verify_winning(space, minimal_open_strategy(space))
-            rep.check(vm.winning, "minimal_open_strategy_verified", _space_tag(space))
+            rep.check(vm.winning, "minimal_open_strategy_verified", tag)
             t = play(space, sol.strategy, EchoStrategy())
             rep.check(
                 t.outcome == "I-wins" and len(t.rounds) <= space.point_count,
                 "solver_beats_echo_quickly",
-                _space_tag(space),
+                tag,
             )
         per_n[n] = count
     rep.counts["topologies_per_n"] = per_n
@@ -426,6 +434,7 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
     # play against every small opponent transducer
     vs_count = 0
     for space in all_spaces(min(3, max_points), min_points=1):
+        tag = _space_tag(space)
         for states in (1, 2):
             if count_ii_strategies(space, states) > 3000:
                 continue
@@ -441,7 +450,7 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
                 rep.check(
                     t.outcome == "I-wins" and progress <= space.point_count,
                     "solver_beats_small_transducers",
-                    [_space_tag(space), states, opp.descriptor()["table"][:4]],
+                    [tag, states, opp.descriptor()["table"][:4]],
                 )
     rep.counts["opponents_played"] = vs_count
     return rep
@@ -505,6 +514,7 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
     homeos = 0
     vacuous = 0
     for space in all_spaces(max_points, min_points=1):
+        tag = _space_tag(space)
         seeds = [frozenset()] + [frozenset([c]) for c in space.clopens() if c]
         members = []
         for s in seeds:
@@ -514,35 +524,35 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
             rep.check(
                 q.map.is_skeletal(),
                 "club_system_node_skeletal",
-                _space_tag(space),
+                tag,
             )
         for low, high in famsys.system.poset.pairs():
             rep.check(
                 famsys.system.bond(low, high).is_skeletal(),
                 "club_system_bond_skeletal",
-                [_space_tag(space), [low, high]],
+                [tag, [low, high]],
             )
         f, emb = embedding_map(famsys)
         embeddings += 1
-        rep.check(emb.continuous, "embedding_continuous", _space_tag(space))
-        rep.check(emb.image_dense, "embedding_image_dense", _space_tag(space))
-        rep.check(emb.image_identity_holds, "embedding_image_identity", _space_tag(space))
+        rep.check(emb.continuous, "embedding_continuous", tag)
+        rep.check(emb.image_dense, "embedding_image_dense", tag)
+        rep.check(emb.image_identity_holds, "embedding_image_identity", tag)
         rep.check(
             emb.injective == emb.separates_points,
             "embedding_injective_iff_separating",
-            _space_tag(space),
+            tag,
         )
         if emb.separates_points and emb.union_is_base:
             rep.check(
                 emb.homeomorphism_onto_limit,
                 "embedding_homeomorphism_when_separating_base",
-                _space_tag(space),
+                tag,
             )
         if emb.separates_points:
             rep.check(
                 emb.homeomorphism_onto_limit,
                 "embedding_homeomorphism_when_separating",
-                _space_tag(space),
+                tag,
             )
             homeos += 1
         if emb.vacuous_for_clopen_base:
@@ -556,7 +566,7 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
                     rep.check(
                         sig.ok,
                         "sigma_complete_on_chains",
-                        [_space_tag(space), [a, b]],
+                        [tag, [a, b]],
                     )
     rep.counts["club_embeddings"] = embeddings
     rep.counts["club_embeddings_homeomorphic"] = homeos
@@ -569,27 +579,28 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
         n = 2 + (i % 2)
         space = random_space(rng2, n)
         fams = random_union_closed_families(rng2, space, rng2.randint(1, 3))
+        tag = [i, _space_tag(space)]
         famsys = system_from_families(space, fams)
         chk = validate_system(famsys.system)
-        rep.check(chk.ok, "family_system_valid", [i, _space_tag(space), chk.witness])
+        rep.check(chk.ok, "family_system_valid", tag + [chk.witness])
         f, emb = embedding_map(famsys)
         rep.check(
             emb.image_dense and emb.image_identity_holds,
             "family_system_embedding_basics",
-            [i, _space_tag(space)],
+            tag,
         )
         if emb.separates_points and emb.union_is_base:
             rep.check(
                 emb.homeomorphism_onto_limit,
                 "family_system_embedding_homeomorphism",
-                [i, _space_tag(space)],
+                tag,
             )
         poset = famsys.system.poset
         for a in range(poset.n):
             for b in range(poset.n):
                 if poset.le(a, b):
                     sig = check_sigma_completeness(famsys.system, [a, b])
-                    rep.check(sig.ok, "family_system_sigma_chains", [i, _space_tag(space), [a, b]])
+                    rep.check(sig.ok, "family_system_sigma_chains", tag + [[a, b]])
     rep.counts["directed_family_systems"] = dir_count
     return rep
 

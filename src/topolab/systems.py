@@ -23,7 +23,7 @@ from .errors import (
 )
 from .families import OpenFamily, Quotient, build_quotient
 from .game import RoundRobinStrategy, Strategy
-from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis
+from .spaces import FiniteSpace, SpaceMap, from_subbasis
 
 __all__ = [
     "DirectedPoset",
@@ -240,11 +240,10 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
     extend([])
     threads.sort()
     t = len(threads)
-    # A node's minimal open neighborhoods are a base: pulling back all opens adds nothing.
+    # A node's rows are a base: pulling back all opens adds nothing.
     subbasis = set()
     for i in range(n):
-        node = sys.spaces[i]
-        for v in {node.minimal_open_neighborhood(x) for x in range(node.point_count)}:
+        for v in set(sys.spaces[i].rows):
             mask = 0
             for ti, thread in enumerate(threads):
                 if (v >> thread[i]) & 1:
@@ -392,11 +391,8 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
         for y in range(x + 1, space.point_count)
     )
     injective = len(set(assign)) == space.point_count
-    base = all(
-        any((m >> x) & 1 and m & ~o == 0 for m in union_members)
-        for o in space.opens
-        for x in bits_of(o)
-    )
+    # A member holding x inside row[x] is row[x].
+    base = set(space.rows) <= set(union_members)
     image = f.image_of(space.full)
     identity_ok = True
     for fi, fam in enumerate(famsys.families):
@@ -407,8 +403,11 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
             rhs = image & proj.preimage_of(q.image_of(u))
             if lhs != rhs:
                 identity_ok = False
-    relative_opens = {o & image for o in lim.space.opens}
-    open_onto_image = all(f.image_of(u) in relative_opens for u in space.opens)
+    # Open images are unions of row images, and a part S of the image is
+    # open in it iff the closure of the rest of the image misses S.
+    open_onto_image = all(
+        lim.space.closure(image & ~s) & s == 0 for s in map(f.image_of, set(space.rows))
+    )
     dense = lim.space.is_dense(image)
     onto = image == lim.space.full
     continuous = f.is_continuous()

@@ -4,7 +4,7 @@ Everything here recomputes a result by a different route than the library
 takes, so agreement means something.  Keep these dumb and direct.
 """
 
-from topolab.spaces import FiniteSpace, SpaceMap, bits_of
+from topolab.spaces import FiniteSpace, SeparationReport, SpaceMap, bits_of
 
 
 def closure_by_closed_scan(space: FiniteSpace, s: int) -> int:
@@ -96,6 +96,13 @@ def all_surjections(dom: FiniteSpace, cod: FiniteSpace):
             yield sm
 
 
+def every_family(space: FiniteSpace):
+    """Every family of opens of space, as a list in opens order."""
+    opens = space.opens
+    for pick in range(1 << len(opens)):
+        yield [opens[k] for k in range(len(opens)) if (pick >> k) & 1]
+
+
 def preorders_by_filter(n: int) -> list[tuple[int, ...]]:
     """Every reflexive transitive relation on n points, as row bitmasks.
 
@@ -166,8 +173,8 @@ def open_by_images(m: SpaceMap) -> bool:
     return all(m.codomain.is_open(m.image_of(u)) for u in m.domain.opens)
 
 
-def base_by_unions_below(space: FiniteSpace, pool) -> bool:
-    """Every open is the union of the pool members inside it."""
+def least_open_not_a_union(space: FiniteSpace, pool) -> int | None:
+    """The least open that is not the union of the pool members inside it."""
     pool = set(pool)
     for o in space.opens:
         u = 0
@@ -175,5 +182,101 @@ def base_by_unions_below(space: FiniteSpace, pool) -> bool:
             if m & ~o == 0:
                 u |= m
         if u != o:
-            return False
-    return True
+            return o
+    return None
+
+
+def base_by_unions_below(space: FiniteSpace, pool) -> bool:
+    """Every open is the union of the pool members inside it."""
+    return least_open_not_a_union(space, pool) is None
+
+
+def least_open_without_member(space: FiniteSpace, members) -> int | None:
+    """The least nonempty open containing no member (pi-base failure)."""
+    for o in space.opens:
+        if o and not any(v & ~o == 0 for v in members):
+            return o
+    return None
+
+
+def separation_flags_by_definition(space: FiniteSpace) -> SeparationReport:
+    """Every flag by its definition, quantifying over pairs of opens;
+    ``completely_regular`` reads "the clopen sets form a base"."""
+    n = space.point_count
+    opens = space.opens
+    t0 = t1 = hausdorff = True
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            sep_xy = any((o >> x) & 1 and not (o >> y) & 1 for o in opens)
+            if not sep_xy:
+                t1 = False
+                if x < y and not any((o >> y) & 1 and not (o >> x) & 1 for o in opens):
+                    t0 = False
+            if x < y and not any(
+                (u >> x) & 1 and (v >> y) & 1 and u & v == 0 for u in opens for v in opens
+            ):
+                hausdorff = False
+    regular = True
+    for o in opens:
+        c = space.full ^ o
+        for x in bits_of(o):
+            if not any(
+                (u >> x) & 1 and c & ~v == 0 and u & v == 0 for u in opens for v in opens
+            ):
+                regular = False
+    clop = [o for o in opens if space.is_closed(o)]
+    completely_regular = all(
+        any((c >> x) & 1 and c & ~o == 0 for c in clop) for o in opens for x in bits_of(o)
+    )
+    return SeparationReport(t0, t1, hausdorff, regular, completely_regular)
+
+
+def skeletal_witness_by_opens(m: SpaceMap) -> int | None:
+    """The least nonempty domain open whose image has a closure with empty
+    interior; the map must be a continuous surjection."""
+    cod = m.codomain
+    for u in m.domain.opens:
+        if u and cod.interior(cod.closure(m.image_of(u))) == 0:
+            return u
+    return None
+
+
+def skeletal_family_by_opens(space: FiniteSpace, members) -> int | None:
+    """The least nonempty open V such that every member W holds a nonempty
+    member missing V, or None when the family is skeletal."""
+    members = [m for m in members if m]
+    for v in space.opens:
+        if v and not any(all(u & v for u in members if u & ~w == 0) for w in members):
+            return v
+    return None
+
+
+def union_is_base_by_opens(space: FiniteSpace, members) -> bool:
+    """Every point x of every open o lies in a member inside o."""
+    return all(
+        any((m >> x) & 1 and m & ~o == 0 for m in members)
+        for o in space.opens
+        for x in bits_of(o)
+    )
+
+
+def open_onto_image_by_opens(f: SpaceMap) -> bool:
+    """Every domain open maps onto a trace of a codomain open on the image."""
+    image = f.image_of(f.domain.full)
+    relative = {o & image for o in f.codomain.opens}
+    return all(f.image_of(u) in relative for u in f.domain.opens)
+
+
+def quotient_opens_by_subsets(space: FiniteSpace, assign, m: int) -> set[int]:
+    """The subsets of range(m) whose preimage under assign is open."""
+    opens = set()
+    for u in range(1 << m):
+        pre = 0
+        for x, a in enumerate(assign):
+            if (u >> a) & 1:
+                pre |= 1 << x
+        if space.is_open(pre):
+            opens.add(u)
+    return opens

@@ -19,6 +19,8 @@ from topolab.suites import (
     systems_suite,
 )
 
+from cli_env import cli_env
+
 SEED = 42
 
 
@@ -163,8 +165,8 @@ def test_criterion_7_reproducibility():
         "--seed",
         "42",
     ]
-    a = subprocess.run(args, capture_output=True, text=True, timeout=600)
-    b = subprocess.run(args, capture_output=True, text=True, timeout=600)
+    a = subprocess.run(args, capture_output=True, text=True, timeout=600, env=cli_env())
+    b = subprocess.run(args, capture_output=True, text=True, timeout=600, env=cli_env())
     byte_identical = a.stdout == b.stdout and a.returncode == b.returncode == 0
     rep = roundtrip_suite(max_points=4, samples=1000, seed=SEED)
     ok = byte_identical and rep.ok

@@ -8,6 +8,8 @@ import pytest
 from topolab import cli
 from topolab.suites import SuiteReport
 
+from cli_env import cli_env
+
 
 def run_cli(args, stdin=None, preexec_fn=None):
     proc = subprocess.run(
@@ -17,6 +19,7 @@ def run_cli(args, stdin=None, preexec_fn=None):
         text=True,
         timeout=300,
         preexec_fn=preexec_fn,
+        env=cli_env(),
     )
     return proc
 
@@ -99,6 +102,30 @@ def test_game_rejects_malformed_space(tmp_path, blob):
     out = run_cli(["game", "solve", "--in", str(space_file)])
     assert out.returncode == 2
     assert out.stderr.startswith("error: bad space JSON")
+    assert "Traceback" not in out.stderr
+
+
+def test_game_missing_input_file_is_a_usage_error(tmp_path):
+    out = run_cli(["game", "solve", "--in", str(tmp_path / "absent.json")])
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gen", "space", "--points", "2"],
+        ["game", "solve"],
+        ["suite", "roundtrip", "--max-points", "2", "--samples", "4"],
+    ],
+)
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, args):
+    target = tmp_path / "absent" / "out.json"
+    sierp = '{"points":2,"opens":[[],[1],[0,1]]}'
+    out = run_cli(args + ["--out", str(target)], stdin=sierp)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ")
     assert "Traceback" not in out.stderr
 
 

@@ -19,7 +19,10 @@ from topolab.spaces import FiniteSpace, SpaceMap
 from oracles import (
     all_surjections,
     base_by_unions_below,
+    every_family,
     kolmogorov_quotient,
+    least_open_without_member,
+    skeletal_family_by_opens,
     subbasis_by_meets_and_unions,
 )
 
@@ -27,12 +30,6 @@ CHAIN3 = FiniteSpace.chain(3)
 SIERP = FiniteSpace.sierpinski()
 D2 = FiniteSpace.discrete(2)
 D3 = FiniteSpace.discrete(3)
-
-
-def every_family(space):
-    opens = space.opens
-    for pick in range(1 << len(opens)):
-        yield [opens[k] for k in range(len(opens)) if (pick >> k) & 1]
 
 
 def test_classes_examples():
@@ -242,3 +239,29 @@ def test_skeletal_maps_pull_dense_opens_to_dense():
                 for v in cod.opens:
                     if cod.is_dense(v):
                         assert dom.is_dense(m.preimage_of(v))
+
+
+def test_skeletal_family_against_opens_scan_exhaustive():
+    failing = 0
+    for space in all_spaces(3):
+        for members in every_family(space):
+            witness = skeletal_family_by_opens(space, members)
+            assert is_skeletal_family(space, members) == (witness is None, witness)
+            failing += witness is not None
+    assert failing > 100
+
+
+def test_pi_base_check_against_opens_scan_exhaustive():
+    rejected = 0
+    for space in all_spaces(3):
+        identity = SpaceMap.identity(space)
+        for members in every_family(space):
+            members = [m for m in members if m]
+            witness = least_open_without_member(space, members)
+            if witness is None:
+                assert family_from_map(identity, members).members == frozenset(members)
+            else:
+                rejected += 1
+                with pytest.raises(NotAPiBase, match="open %d contains" % witness):
+                    family_from_map(identity, members)
+    assert rejected > 100

@@ -9,10 +9,15 @@ from topolab.randgen import random_space, rng_for
 from topolab.spaces import FiniteSpace, SpaceMap, frink_conditions, from_subbasis
 
 from oracles import (
+    all_surjections,
     closure_by_closed_scan,
     continuous_by_preimages,
+    every_family,
     interior_by_definition,
+    least_open_not_a_union,
     open_by_images,
+    separation_flags_by_definition,
+    skeletal_witness_by_opens,
     subbasis_by_meets_and_unions,
     two_valued_separation,
 )
@@ -38,6 +43,24 @@ def test_from_subbasis_against_meets_and_unions():
 def test_from_subbasis_range_error():
     with pytest.raises(ValueError):
         from_subbasis(2, [0b100])
+
+
+def test_validation_rejects_wide_non_topologies_at_once():
+    # The o | row check rejects this from 42 opens; rebuilding the opens
+    # from the rows instead would expand to 2**40 sets.
+    full = (1 << 40) - 1
+    with pytest.raises(ValueError, match="not closed under union/intersection"):
+        FiniteSpace(40, [0, full] + [1 << x for x in range(40)])
+
+
+def test_named_constructors_match_their_opens():
+    assert FiniteSpace.discrete(3) == FiniteSpace(3, range(8))
+    assert FiniteSpace.indiscrete(3) == FiniteSpace(3, [0, 0b111])
+    assert FiniteSpace.sierpinski() == FiniteSpace(2, [0, 0b10, 0b11])
+    assert FiniteSpace.chain(3) == FiniteSpace(3, [0, 0b1, 0b11, 0b111])
+    assert FiniteSpace.chain(3).rows == (0b1, 0b11, 0b111)
+    with pytest.raises(ValueError):
+        FiniteSpace.from_preorder([0b100, 0])
 
 
 def test_topology_axioms_enforced():
@@ -96,6 +119,16 @@ def test_separation_examples():
     assert not i.t0 and i.regular and i.completely_regular and not i.hausdorff
     e = FiniteSpace(0, [0]).separation_flags()
     assert e.t0 and e.t1 and e.hausdorff and e.regular and e.completely_regular
+
+
+def test_separation_flags_against_definition():
+    rng = rng_for(0, "separation-oracle")
+    spaces = list(all_spaces(4)) + [random_space(rng, 5 + i % 2) for i in range(40)]
+    flags = [space.separation_flags() for space in spaces]
+    for space, got in zip(spaces, flags):
+        assert got == separation_flags_by_definition(space), space
+    for name in ("t0", "t1", "regular"):
+        assert 0 < sum(getattr(f, name) for f in flags) < len(flags)
 
 
 def test_separation_implications_exhaustive():
@@ -160,8 +193,6 @@ def test_skeletal_requires_continuous_surjection():
 
 
 def test_open_continuous_surjections_are_skeletal():
-    from oracles import all_surjections
-
     for dom in all_spaces(3):
         for cod in all_spaces(3):
             if cod.point_count > dom.point_count:
@@ -169,6 +200,20 @@ def test_open_continuous_surjections_are_skeletal():
             for m in all_surjections(dom, cod):
                 if m.is_continuous() and m.is_open_map():
                     assert m.is_skeletal()
+
+
+def test_skeletal_witness_against_opens_scan_exhaustive():
+    failing = 0
+    for dom in all_spaces(3):
+        for cod in all_spaces(3):
+            if cod.point_count > dom.point_count:
+                continue
+            for m in all_surjections(dom, cod):
+                if m.is_continuous():
+                    witness = m.skeletal_witness()
+                    assert witness == skeletal_witness_by_opens(m)
+                    failing += witness is not None
+    assert failing > 100
 
 
 def test_frink_examples():
@@ -186,6 +231,22 @@ def test_frink_base_validation():
         frink_conditions(D2, [0b01])  # cannot generate {1} or X
     with pytest.raises(NotABase):
         frink_conditions(SIERP, [0b01, 0b11])  # {0} is not open
+
+
+def test_frink_base_check_against_opens_scan():
+    # every pool of opens over spaces of at most 3 points
+    accepted = rejected = 0
+    for space in all_spaces(3):
+        for pool in every_family(space):
+            witness = least_open_not_a_union(space, pool)
+            if witness is None:
+                accepted += 1
+                frink_conditions(space, pool)
+            else:
+                rejected += 1
+                with pytest.raises(NotABase, match="open %d is not" % witness):
+                    frink_conditions(space, pool)
+    assert accepted > 100 and rejected > 500
 
 
 def test_frink_passes_on_hausdorff_spaces():

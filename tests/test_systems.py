@@ -23,7 +23,12 @@ from topolab.systems import (
     validate_system,
 )
 
-from oracles import subbasis_by_meets_and_unions
+from oracles import (
+    open_onto_image_by_opens,
+    quotient_opens_by_subsets,
+    subbasis_by_meets_and_unions,
+    union_is_base_by_opens,
+)
 
 D2 = FiniteSpace.discrete(2)
 D4 = FiniteSpace.discrete(4)
@@ -110,6 +115,19 @@ def test_limit_topology_against_pullbacks_of_all_opens():
         assert lim.space == subbasis_by_meets_and_unions(len(lim.threads), pullbacks)
 
 
+def test_merge_steps_carry_the_quotient_topology():
+    rng = rng_for(9, "merge-oracle")
+    merged = 0
+    for i in range(80):
+        sys = random_quotient_chain(rng, 1 + (i % 5), 2 + (i % 3), discrete_top=(i % 4 == 0))
+        for k in range(sys.poset.n - 1):
+            step = sys.bond(k, k + 1)
+            m = step.codomain.point_count
+            merged += m < step.domain.point_count
+            assert step.codomain == FiniteSpace(m, quotient_opens_by_subsets(step.domain, step.assign, m))
+    assert merged > 60
+
+
 def test_projection_functoriality():
     rng = rng_for(3, "functorial")
     for i in range(60):
@@ -193,6 +211,26 @@ def test_embedding_identity_and_homeomorphism():
     f2, rep2 = embedding_map(fs2)
     assert not rep2.separates_points and not rep2.injective
     assert rep2.image_dense
+
+
+def test_embedding_base_and_openness_against_opens_scans():
+    rng = rng_for(11, "embedding-oracle")
+    systems = [
+        system_from_families(space, [build_tclub_member(space, [])])
+        for space in all_spaces(3, min_points=1)
+    ]
+    for i in range(80):
+        space = random_space(rng, 2 + (i % 3))
+        systems.append(system_from_families(space, random_union_closed_families(rng, space, 3)))
+    seen = set()
+    for fs in systems:
+        f, rep = embedding_map(fs)
+        union_members = {m for fam in fs.families for m in fam.members}
+        assert rep.union_is_base == union_is_base_by_opens(fs.space, union_members)
+        assert rep.open_onto_image == open_onto_image_by_opens(f)
+        seen.add((rep.union_is_base, rep.open_onto_image))
+    # a base union makes the map open onto its image, so (True, False) never shows
+    assert seen == {(False, False), (False, True), (True, True)}
 
 
 def test_embedding_t0_reflection_sanity():
