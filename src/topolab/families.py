@@ -52,10 +52,6 @@ class OpenFamily:
     def nonempty_members(self) -> tuple[int, ...]:
         return tuple(m for m in sorted(self.members) if m)
 
-    @property
-    def contains_empty(self) -> bool:
-        return 0 in self.members
-
     def union_mask(self) -> int:
         u = 0
         for m in self.members:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from .errors import NotDirected
 from .families import OpenFamily, Quotient
 from .game import GameSolution, Strategy, Transcript
 from .spaces import FiniteSpace, SpaceMap, bits_of, mask_of
@@ -58,9 +59,8 @@ def decode_space(obj: dict) -> FiniteSpace:
     n = obj.get("points")
     if not _is_count(n):
         raise ValueError('"points" must be a nonnegative integer')
-    for o in obj["opens"]:
-        if not isinstance(o, list) or not all(_is_count(p) and p < n for p in o):
-            raise ValueError("each open must be a list of points in range(%d)" % n)
+    if not all(_is_points(o, n) for o in obj["opens"]):
+        raise ValueError("each open must be a list of points in range(%d)" % n)
     if not any(len(set(o)) == n for o in obj["opens"]):
         raise ValueError("no open lists all %d points" % n)
     return FiniteSpace(n, (mask_of(o) for o in obj["opens"]))
@@ -68,6 +68,18 @@ def decode_space(obj: dict) -> FiniteSpace:
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_points(value, n: int) -> bool:
+    return isinstance(value, list) and all(_is_count(p) and p < n for p in value)
+
+
+def _assignment(value) -> list:
+    """An ``assign`` list of point indices; SpaceMap checks its length and
+    ranges."""
+    if not isinstance(value, list) or not all(_is_count(a) for a in value):
+        raise ValueError("an assignment must be a list of point indices")
+    return value
 
 
 def encode_map(m: SpaceMap) -> dict:
@@ -79,9 +91,11 @@ def encode_map(m: SpaceMap) -> dict:
 
 
 def decode_map(obj: dict) -> SpaceMap:
-    return SpaceMap(
-        decode_space(obj["domain"]), decode_space(obj["codomain"]), obj["assign"]
-    )
+    """Inverse of encode_map; malformed input raises ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError('a map is an object with "domain", "codomain" and "assign"')
+    domain, codomain = decode_space(obj.get("domain")), decode_space(obj.get("codomain"))
+    return SpaceMap(domain, codomain, _assignment(obj.get("assign")))
 
 
 def encode_family(fam: OpenFamily) -> dict:
@@ -92,7 +106,13 @@ def encode_family(fam: OpenFamily) -> dict:
 
 
 def decode_family(obj: dict) -> OpenFamily:
-    space = decode_space(obj["space"])
+    """Inverse of encode_family; checks shapes and point ranges before any
+    shift, so malformed input raises ValueError."""
+    if not isinstance(obj, dict) or not isinstance(obj.get("members"), list):
+        raise ValueError('a family is an object with "space" and a "members" list')
+    space = decode_space(obj.get("space"))
+    if not all(_is_points(m, space.point_count) for m in obj["members"]):
+        raise ValueError("each member must be a list of points in range(%d)" % space.point_count)
     return OpenFamily.of(space, (mask_of(m) for m in obj["members"]))
 
 
@@ -125,16 +145,37 @@ def encode_system(sys: InverseSystem) -> dict:
 
 
 def decode_system(obj: dict) -> InverseSystem:
-    labels = tuple(obj["poset"]["elements"])
-    leq = [tuple(p) for p in obj["poset"]["leq"]]
-    poset = DirectedPoset(labels, leq)
-    spaces = tuple(decode_space(obj["spaces"][str(i)]) for i in range(len(labels)))
+    """Inverse of encode_system; checks shapes, node and point ranges
+    before building, and rejects a system whose check fails, so malformed
+    input raises ValueError."""
+    if not isinstance(obj, dict) or not all(
+        isinstance(obj.get(k), dict) for k in ("poset", "spaces", "bonds")
+    ):
+        raise ValueError('a system is an object with "poset", "spaces" and "bonds" objects')
+    labels, leq = obj["poset"].get("elements"), obj["poset"].get("leq")
+    if not isinstance(labels, list) or not all(isinstance(lbl, str) for lbl in labels):
+        raise ValueError('"elements" must be a list of strings')
+    n = len(labels)
+    if not isinstance(leq, list) or not all(_is_points(p, n) and len(p) == 2 for p in leq):
+        raise ValueError('"leq" must be a list of pairs of nodes in range(%d)' % n)
+    try:
+        poset = DirectedPoset(labels, (tuple(p) for p in leq))
+    except NotDirected as exc:
+        raise ValueError(str(exc)) from None
+    if set(obj["spaces"]) != {str(i) for i in range(n)}:
+        raise ValueError('"spaces" must hold one space for each node in range(%d)' % n)
+    spaces = tuple(decode_space(obj["spaces"][str(i)]) for i in range(n))
     bonds = {}
     for key, assign in obj["bonds"].items():
-        low, high = key.split("<=")
+        low, sep, high = str(key).partition("<=")
+        if not (sep and low.isdecimal() and high.isdecimal() and poset.le(int(low), int(high))):
+            raise ValueError("bond key %r names no pair i<=j of the poset" % key)
         i, j = int(low), int(high)
-        bonds[(i, j)] = SpaceMap(spaces[j], spaces[i], assign)
-    return InverseSystem(poset=poset, spaces=spaces, bonds=bonds)
+        bonds[(i, j)] = SpaceMap(spaces[j], spaces[i], _assignment(assign))
+    system = InverseSystem(poset=poset, spaces=spaces, bonds=bonds)
+    if not system.check.ok:
+        raise ValueError("invalid system: %s" % system.check.witness)
+    return system
 
 
 def encode_limit(lim) -> dict:

@@ -50,7 +50,6 @@ from .systems import (
     limit_space,
     limit_strategy,
     system_from_families,
-    validate_system,
 )
 
 __all__ = ["SuiteReport", "run_suite", "SUITE_NAMES"]
@@ -447,10 +446,11 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
                     if c != (t.covered[k - 1] if k else 0)
                 )
                 vs_count += 1
+                won = t.outcome == "I-wins" and progress <= space.point_count
                 rep.check(
-                    t.outcome == "I-wins" and progress <= space.point_count,
+                    won,
                     "solver_beats_small_transducers",
-                    [tag, states, opp.descriptor()["table"][:4]],
+                    None if won else [tag, states, opp.descriptor()["table"][:4]],
                 )
     rep.counts["opponents_played"] = vs_count
     return rep
@@ -473,7 +473,7 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
         length = 2 + (i % 2)
         sys = random_quotient_chain(rng, n, length, discrete_top=(i % 5 == 0))
         tag = [i, jsonio.encode_system(sys)["bonds"]]
-        chk = validate_system(sys)
+        chk = sys.check
         rep.check(chk.ok, "sampled_system_valid", tag + [chk.witness])
         if not chk.ok:
             continue
@@ -482,7 +482,7 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
             lhs = lim.projections[low]
             rhs = sys.bond(low, high).compose(lim.projections[high])
             rep.check(lhs == rhs, "projection_functoriality", tag + [[low, high]])
-        report = check_skeletal_system(sys)
+        report = check_skeletal_system(lim)
         if report.hypothesis_holds:
             skeletal_hypothesis += 1
             rep.check(
@@ -491,7 +491,7 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
                 tag,
             )
             try:
-                strat = limit_strategy(sys)
+                strat = limit_strategy(lim)
             except NonSkeletalBond:
                 strat = None
             rep.check(strat is not None, "limit_strategy_available", tag)
@@ -581,7 +581,7 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
         fams = random_union_closed_families(rng2, space, rng2.randint(1, 3))
         tag = [i, _space_tag(space)]
         famsys = system_from_families(space, fams)
-        chk = validate_system(famsys.system)
+        chk = famsys.system.check
         rep.check(chk.ok, "family_system_valid", tag + [chk.witness])
         f, emb = embedding_map(famsys)
         rep.check(

@@ -11,7 +11,7 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -143,31 +143,35 @@ class DirectedPoset:
 
 
 @dataclass(frozen=True)
+class SystemCheck:
+    ok: bool
+    witness: str | None
+
+
+@dataclass(frozen=True)
 class InverseSystem:
     """Spaces indexed by a directed poset with bonding maps downward.
 
     ``bonds[(i, j)]`` for i <= j maps the space at j onto the space at i.
     Identity bonds on the diagonal may be omitted; they are filled in.
+    ``check`` is the verdict of ``validate_system``, run once when the
+    system is built, so an invalid system can be built and diagnosed.
     """
 
     poset: DirectedPoset
     spaces: tuple[FiniteSpace, ...]
     bonds: Mapping[tuple[int, int], SpaceMap]
+    check: SystemCheck = field(init=False, compare=False)
 
     def __post_init__(self):
         filled = dict(self.bonds)
-        for i in range(self.poset.n):
-            filled.setdefault((i, i), SpaceMap.identity(self.spaces[i]))
+        for i, space in enumerate(self.spaces[: self.poset.n]):
+            filled.setdefault((i, i), SpaceMap.identity(space))
         object.__setattr__(self, "bonds", filled)
+        object.__setattr__(self, "check", validate_system(self))
 
     def bond(self, low: int, high: int) -> SpaceMap:
         return self.bonds[(low, high)]
-
-
-@dataclass(frozen=True)
-class SystemCheck:
-    ok: bool
-    witness: str | None
 
 
 def validate_system(sys: InverseSystem) -> SystemCheck:
@@ -200,20 +204,18 @@ def validate_system(sys: InverseSystem) -> SystemCheck:
 
 @dataclass(frozen=True)
 class LimitSpace:
-    """Threads, their projection-generated topology, and the projections."""
+    """The limit of ``system``: threads, their projection-generated
+    topology, and the projections."""
 
+    system: InverseSystem
     threads: tuple[tuple[int, ...], ...]
     space: FiniteSpace
     projections: tuple[SpaceMap, ...]
 
-    def projection_surjective(self, i: int) -> bool:
-        return self.projections[i].is_surjective()
-
 
 def limit_space(sys: InverseSystem) -> LimitSpace:
-    check = validate_system(sys)
-    if not check.ok:
-        raise InvalidSystem(check.witness)
+    if not sys.check.ok:
+        raise InvalidSystem(sys.check.witness)
     n = sys.poset.n
     threads: list[tuple[int, ...]] = []
     counts = [sp.point_count for sp in sys.spaces]
@@ -254,7 +256,7 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
         SpaceMap(space, sys.spaces[i], (thread[i] for thread in threads))
         for i in range(n)
     )
-    return LimitSpace(threads=tuple(threads), space=space, projections=projections)
+    return LimitSpace(system=sys, threads=tuple(threads), space=space, projections=projections)
 
 
 @dataclass(frozen=True)
@@ -270,8 +272,9 @@ class SkeletalSystemReport:
     proposition_holds: bool | None
 
 
-def check_skeletal_system(sys: InverseSystem) -> SkeletalSystemReport:
-    lim = limit_space(sys)
+def check_skeletal_system(lim: LimitSpace) -> SkeletalSystemReport:
+    """Skeletality of the bonds of ``lim.system`` and of the projections of ``lim``."""
+    sys = lim.system
     bond_skel = {
         (i, j): sys.bond(i, j).is_skeletal() for i, j in sys.poset.pairs()
     }
@@ -280,9 +283,7 @@ def check_skeletal_system(sys: InverseSystem) -> SkeletalSystemReport:
     for i in range(sys.poset.n):
         proj_skel[i] = lim.projections[i].is_skeletal() if proj_surj[i] else None
     hypothesis = all(bond_skel.values()) and all(proj_surj.values())
-    proposition = None
-    if hypothesis:
-        proposition = all(proj_skel[i] for i in range(sys.poset.n))
+    proposition = all(proj_skel.values()) if hypothesis else None
     return SkeletalSystemReport(
         bond_skeletal=bond_skel,
         projection_surjective=proj_surj,
@@ -428,16 +429,16 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
     return f, report
 
 
-def limit_strategy(sys: InverseSystem) -> Strategy:
-    """Round robin over the lifted minimal opens of every space along a
-    fixed cofinal chain.
+def limit_strategy(lim: LimitSpace) -> Strategy:
+    """Round robin on the limit ``lim`` over the lifted minimal opens of
+    every space of ``lim.system`` along a fixed cofinal chain.
 
     Requires skeletal bonds.  Each node contributes its minimal opens (a
     pi-base), lifted through the projection; the opponent's replies inside
     the lift of a minimal open of the top space project back onto it, so
     the union of replies is dense in the limit.
     """
-    lim = limit_space(sys)
+    sys = lim.system
     for i, j in sys.poset.pairs():
         if not sys.bond(i, j).is_skeletal():
             raise NonSkeletalBond("bond %d<=%d is not skeletal" % (i, j))
@@ -492,9 +493,8 @@ def check_sigma_completeness(
     space finer than the chain resolves, and the witness is then a thread
     with more than one preimage.
     """
-    check = validate_system(sys)
-    if not check.ok:
-        raise InvalidSystem(check.witness)
+    if not sys.check.ok:
+        raise InvalidSystem(sys.check.witness)
     chain = list(dict.fromkeys(chain))
     if not chain:
         raise NotAChain("empty chain")

@@ -1,7 +1,8 @@
-"""Environment for running this checkout's command-line interface in a
+"""Environment and memory cap for running this checkout's code in a
 subprocess."""
 
 import os
+import resource
 from pathlib import Path
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -12,3 +13,8 @@ def cli_env():
     subprocess imports this checkout's topolab."""
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=SRC + os.pathsep + path if path else SRC)
+
+
+def cap_memory_at_1gib():
+    """A ``preexec_fn`` that caps the subprocess's address space at 1 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))

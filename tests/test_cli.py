@@ -1,5 +1,4 @@
 import json
-import resource
 import subprocess
 import sys
 
@@ -8,7 +7,7 @@ import pytest
 from topolab import cli
 from topolab.suites import SuiteReport
 
-from cli_env import cli_env
+from cli_env import cap_memory_at_1gib, cli_env
 
 
 def run_cli(args, stdin=None, preexec_fn=None):
@@ -22,10 +21,6 @@ def run_cli(args, stdin=None, preexec_fn=None):
         env=cli_env(),
     )
     return proc
-
-
-def cap_memory_at_1gib():
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def test_gen_space_deterministic():

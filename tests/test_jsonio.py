@@ -1,4 +1,8 @@
 import json
+import subprocess
+import sys
+
+import pytest
 
 from topolab import jsonio
 from topolab.game import EchoStrategy, minimal_open_strategy, play, solve_open_open
@@ -9,6 +13,12 @@ from topolab.randgen import (
     rng_for,
 )
 from topolab.spaces import FiniteSpace, SpaceMap
+from topolab.systems import DirectedPoset, InverseSystem
+
+from cli_env import cap_memory_at_1gib, cli_env
+
+SIERP = {"points": 2, "opens": [[], [1], [0, 1]]}
+D2 = {"points": 2, "opens": [[], [0], [1], [0, 1]]}
 
 
 def test_space_canonical_form():
@@ -89,3 +99,109 @@ def test_random_roundtrips_are_lossless():
 
 def test_dumps_is_key_sorted_and_compact():
     assert jsonio.dumps({"b": 1, "a": [2, 1]}) == '{"a":[2,1],"b":1}\n'
+
+
+MALFORMED_FAMILIES = [
+    [],
+    {"space": SIERP},
+    {"members": [[1]]},
+    {"space": SIERP, "members": [1]},
+    {"space": SIERP, "members": [["1"]]},
+    {"space": SIERP, "members": [[2]]},
+    {"space": SIERP, "members": [[0]]},  # not open
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_FAMILIES)
+def test_decode_family_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        jsonio.decode_family(obj)
+
+
+MALFORMED_MAPS = [
+    None,
+    {"domain": D2, "assign": [0, 1]},
+    {"domain": D2, "codomain": SIERP},
+    {"domain": D2, "codomain": SIERP, "assign": "01"},
+    {"domain": D2, "codomain": SIERP, "assign": [0, None]},
+    {"domain": D2, "codomain": SIERP, "assign": [0]},
+    {"domain": D2, "codomain": SIERP, "assign": [0, 2]},
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED_MAPS)
+def test_decode_map_rejects_malformed_input(obj):
+    with pytest.raises(ValueError):
+        jsonio.decode_map(obj)
+
+
+def _two_node_system_blob():
+    d2, d4 = FiniteSpace.discrete(2), FiniteSpace.discrete(4)
+    bond = SpaceMap(d4, d2, [0, 0, 1, 1])
+    return jsonio.encode_system(InverseSystem(DirectedPoset(("lo", "hi"), [(0, 1)]), (d2, d4), {(0, 1): bond}))
+
+
+DROP = object()
+
+
+def _edited(path, value):
+    blob = _two_node_system_blob()
+    *parents, last = path
+    target = blob
+    for key in parents:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return blob
+
+
+MALFORMED_SYSTEMS = [
+    ("not an object", []),
+    ("no bonds", _edited(["bonds"], DROP)),
+    ("labels not strings", _edited(["poset", "elements"], [0, 1])),
+    ("leq entry not a pair", _edited(["poset", "leq"], [5])),
+    ("leq node out of range", _edited(["poset", "leq"], [[0, 7]])),
+    ("not directed", _edited(["poset", "leq"], [])),
+    ("missing space", _edited(["spaces", "1"], DROP)),
+    ("extra space", _edited(["spaces", "2"], SIERP)),
+    ("bond key not a pair", _edited(["bonds", "x"], [0, 1])),
+    ("bond key outside the order", _edited(["bonds", "1<=0"], [0, 1])),
+    ("bond assignment too short", _edited(["bonds", "0<=1"], [0, 0, 1])),
+    ("bond point out of range", _edited(["bonds", "0<=1"], [0, 0, 1, 100000000000])),
+    ("missing bond", _edited(["bonds", "0<=1"], DROP)),
+    ("bond not surjective", _edited(["bonds", "0<=1"], [0, 0, 0, 0])),
+]
+
+
+@pytest.mark.parametrize("case, obj", MALFORMED_SYSTEMS, ids=[c for c, _ in MALFORMED_SYSTEMS])
+def test_decode_system_rejects_malformed_input(case, obj):
+    with pytest.raises(ValueError):
+        jsonio.decode_system(obj)
+
+
+def test_decode_system_names_the_failed_check():
+    with pytest.raises(ValueError, match="bond 0<=1 is not surjective"):
+        jsonio.decode_system(_edited(["bonds", "0<=1"], [0, 0, 0, 0]))
+
+
+def test_huge_member_index_rejected_without_allocating():
+    # mask_of([100000000000]) alone would need about 12.5 GB
+    code = (
+        "from topolab import jsonio\n"
+        "try:\n"
+        "    jsonio.decode_family(%r)\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n" % {"space": SIERP, "members": [[100000000000]]}
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=cap_memory_at_1gib,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected: each member must be a list of points")

@@ -1,3 +1,10 @@
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from topolab import cli
 from topolab.jsonio import dumps
 from topolab.suites import (
     SuiteReport,
@@ -42,3 +49,16 @@ def test_unknown_suite_name():
 
     with pytest.raises(ValueError):
         run_suite("nope", max_points=3, samples=1, seed=0)
+
+
+REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "reference_digests.json"
+
+
+@pytest.mark.parametrize("seed", ["0", "42"])
+def test_suite_all_report_matches_reference_digest(tmp_path, seed):
+    # A fixed seed must give byte-identical report bytes.
+    out = tmp_path / "report.json"
+    args = ["suite", "all", "--max-points", "4", "--samples", "500", "--seed", seed]
+    assert cli.main(args + ["--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == json.loads(REFERENCE_DIGESTS.read_text())[seed]

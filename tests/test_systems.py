@@ -1,5 +1,6 @@
 import pytest
 
+from topolab import systems
 from topolab.enumeration import all_spaces
 from topolab.errors import (
     EmptySpace,
@@ -98,6 +99,36 @@ def test_limit_requires_valid_system():
         limit_space(bad)
 
 
+def test_system_with_too_few_spaces_is_diagnosed():
+    short = InverseSystem(DirectedPoset(("a", "b"), [(0, 1)]), (D2,), {})
+    assert short.check == validate_system(short)
+    assert short.check.witness == "space count does not match poset size"
+    with pytest.raises(InvalidSystem, match="space count"):
+        limit_space(short)
+
+
+def test_each_system_is_validated_once(monkeypatch):
+    validated = []
+    real = systems.validate_system
+
+    def counting(sys):
+        validated.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(systems, "validate_system", counting)
+    built = [
+        two_node_system(D2, D4, [0, 0, 1, 1]),
+        system_from_families(CHAIN3, [[0b001], [0b001, 0b011]]).system,
+    ]
+    for sys in built:
+        lim = limit_space(sys)
+        check_skeletal_system(lim)
+        limit_strategy(lim)
+        check_sigma_completeness(sys, [0, 1])  # builds one subsystem
+    assert validated[0] is built[0] and validated[1] is built[1]
+    assert len(validated) == 4 and len({id(s) for s in validated}) == 4
+
+
 def test_limit_topology_against_pullbacks_of_all_opens():
     rng = rng_for(5, "limit-oracle")
     for i in range(60):
@@ -139,11 +170,11 @@ def test_projection_functoriality():
 
 def test_skeletal_system_reports():
     ident = two_node_system(D2, D2, [0, 1])
-    rep = check_skeletal_system(ident)
+    rep = check_skeletal_system(limit_space(ident))
     assert rep.proposition_holds and all(rep.bond_skeletal.values())
 
     non_skel = two_node_system(SIERP, D2, [0, 1])  # discrete-2 onto Sierpinski
-    rep2 = check_skeletal_system(non_skel)
+    rep2 = check_skeletal_system(limit_space(non_skel))
     assert rep2.bond_skeletal[(0, 1)] is False
     assert not rep2.hypothesis_holds
 
@@ -153,7 +184,7 @@ def test_skeletal_proposition_seeded():
     applicable = 0
     for i in range(200):
         sys = random_quotient_chain(rng, 2 + (i % 3), 2 + (i % 2), discrete_top=(i % 4 == 0))
-        rep = check_skeletal_system(sys)
+        rep = check_skeletal_system(limit_space(sys))
         if rep.hypothesis_holds:
             applicable += 1
             assert rep.proposition_holds
@@ -264,12 +295,12 @@ def test_embedding_homeomorphism_when_separating_clopen_base():
 
 def test_limit_strategy_examples():
     const = two_node_system(D2, D2, [0, 1])
-    strat = limit_strategy(const)
+    strat = limit_strategy(limit_space(const))
     lim = limit_space(const)
     assert verify_winning(lim.space, strat).winning
 
     pairing = two_node_system(D2, D4, [0, 0, 1, 1])
-    strat2 = limit_strategy(pairing)
+    strat2 = limit_strategy(limit_space(pairing))
     assert verify_winning(limit_space(pairing).space, strat2).winning
     assert strat2.descriptor()["kind"] == "limit_round_robin"
 
@@ -277,14 +308,14 @@ def test_limit_strategy_examples():
 def test_limit_strategy_requires_skeletal_bonds():
     non_skel = two_node_system(SIERP, D2, [0, 1])
     with pytest.raises(NonSkeletalBond):
-        limit_strategy(non_skel)
+        limit_strategy(limit_space(non_skel))
     bad = two_node_system(D2, D2, [0, 0])
     with pytest.raises(InvalidSystem):
-        limit_strategy(bad)
+        limit_strategy(limit_space(bad))
     empty = FiniteSpace(0, [0])
     single = InverseSystem(DirectedPoset(("e",), []), (empty,), {})
     with pytest.raises(EmptySpace):
-        limit_strategy(single)
+        limit_strategy(limit_space(single))
 
 
 def test_limit_strategy_seeded():
@@ -293,7 +324,7 @@ def test_limit_strategy_seeded():
     for i in range(120):
         sys = random_quotient_chain(rng, 2 + (i % 3), 2 + (i % 2), discrete_top=(i % 3 == 0))
         try:
-            strat = limit_strategy(sys)
+            strat = limit_strategy(limit_space(sys))
         except NonSkeletalBond:
             continue
         lim = limit_space(sys)
