@@ -39,6 +39,8 @@ from .suites import SUITE_NAMES, run_suite
 
 MAX_GEN_POINTS = 6
 MAX_SUITE_POINTS = 4  # the brute-force topology count is doubly exponential
+# The solver is cubic in the number of opens: at most 255**3 reply checks.
+MAX_GAME_OPENS = 256
 
 II_STRATEGIES = {
     "echo": lambda space: EchoStrategy(),
@@ -93,6 +95,8 @@ def cmd_gen(args) -> int:
     else:
         if args.points < 1 or args.chain < 1:
             return _fail_usage("systems need at least one point and one node")
+        if args.chain > jsonio.MAX_SYSTEM_NODES:
+            return _fail_usage("--chain must be at most %d" % jsonio.MAX_SYSTEM_NODES)
         obj = jsonio.encode_system(random_quotient_chain(rng, args.points, args.chain))
     _emit(jsonio.dumps(obj), args.out)
     return 0
@@ -108,6 +112,11 @@ def cmd_game(args) -> int:
         space = _read_space(args.input)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail_usage("bad space JSON: %s" % exc)
+    if len(space.opens) > MAX_GAME_OPENS:
+        return _fail_usage(
+            "the game takes spaces with at most %d opens, this one has %d"
+            % (MAX_GAME_OPENS, len(space.opens))
+        )
     try:
         if args.mode == "solve":
             sol = solve_open_open(space)

@@ -405,7 +405,8 @@ def solve_open_open(space: FiniteSpace) -> GameSolution:
         raise EmptySpace("the game needs at least one point")
     moves = space.nonempty_opens()
     table: dict[int, tuple[str, int | None]] = {}
-    for s in sorted(space.opens, key=lambda m: (-m.bit_count(), m)):
+    # Largest covered sets first; the stable sort keeps equal sizes ascending.
+    for s in sorted(space.opens, key=int.bit_count, reverse=True):
         if space.is_dense(s):
             table[s] = ("dense", None)
             continue
@@ -480,12 +481,13 @@ def verify_winning(
     """
     if space.point_count == 0:
         return VerifyResult(True, None, 0)
+    moves = space.nonempty_opens()
     replies_cache: dict[int, tuple[int, ...]] = {}
 
     def replies(a: int) -> tuple[int, ...]:
         got = replies_cache.get(a)
         if got is None:
-            got = tuple(b for b in space.nonempty_opens() if b & ~a == 0)
+            got = tuple(b for b in moves if b & ~a == 0)
             replies_cache[a] = got
         return got
 

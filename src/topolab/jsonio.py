@@ -34,6 +34,9 @@ __all__ = [
     "encode_strategy",
 ]
 
+# decode_system refuses larger posets before checking their order.
+MAX_SYSTEM_NODES = 64
+
 
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
@@ -156,6 +159,8 @@ def decode_system(obj: dict) -> InverseSystem:
     if not isinstance(labels, list) or not all(isinstance(lbl, str) for lbl in labels):
         raise ValueError('"elements" must be a list of strings')
     n = len(labels)
+    if n > MAX_SYSTEM_NODES:
+        raise ValueError("a system has at most %d nodes, not %d" % (MAX_SYSTEM_NODES, n))
     if not isinstance(leq, list) or not all(_is_points(p, n) and len(p) == 2 for p in leq):
         raise ValueError('"leq" must be a list of pairs of nodes in range(%d)' % n)
     try:

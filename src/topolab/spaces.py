@@ -74,8 +74,9 @@ class FiniteSpace:
     """A topology on {0..point_count-1}, carried by its rows.
 
     ``rows[x]`` is the least open containing x; ``opens`` is the sorted
-    tuple of all opens, the unions of rows.  Equality and hashing compare
-    the rows.
+    tuple of all opens, the unions of rows, so ``opens[0]`` is the empty
+    set; ``full`` is the mask of every point.  Equality and hashing
+    compare the rows.
 
     ``FiniteSpace(n, opens)`` validates input from outside: the empty and
     full sets must be present, and the family closed under union and
@@ -88,15 +89,15 @@ class FiniteSpace:
     and the check, so every space is still constructed by ``__init__``.
     """
 
-    __slots__ = ("point_count", "opens", "_open_set", "rows")
+    __slots__ = ("point_count", "full", "opens", "_open_set", "rows")
 
     def __init__(
         self, point_count: int, opens: Iterable[int], *, _rows: tuple[int, ...] | None = None
     ):
+        if _rows is None and point_count < 0:
+            raise ValueError("point_count must be >= 0")
+        full = (1 << point_count) - 1
         if _rows is None:
-            if point_count < 0:
-                raise ValueError("point_count must be >= 0")
-            full = (1 << point_count) - 1
             open_set = frozenset(int(o) for o in opens)
             for o in open_set:
                 if o < 0 or o & ~full:
@@ -119,6 +120,7 @@ class FiniteSpace:
             # from_preorder: the opens are the union closure of closed rows.
             open_set = frozenset(opens)
         self.point_count = point_count
+        self.full = full
         self.opens = tuple(sorted(open_set))
         self._open_set = open_set
         self.rows = _rows
@@ -168,10 +170,6 @@ class FiniteSpace:
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def full(self) -> int:
-        return (1 << self.point_count) - 1
-
     def is_open(self, mask: int) -> bool:
         return mask in self._open_set
 
@@ -179,7 +177,8 @@ class FiniteSpace:
         return (self.full ^ mask) in self._open_set
 
     def nonempty_opens(self) -> tuple[int, ...]:
-        return tuple(o for o in self.opens if o)
+        """Every open but the empty set, which heads the sorted opens."""
+        return self.opens[1:]
 
     def interior(self, mask: int) -> int:
         """The points whose row lies inside mask."""
@@ -191,11 +190,22 @@ class FiniteSpace:
         return out
 
     def closure(self, mask: int) -> int:
+        """The points whose row meets mask: x is in the closure exactly
+        when its least open neighborhood meets mask."""
         self._check_range(mask)
-        return self.full ^ self.interior(self.full ^ mask)
+        out = 0
+        for x, row in enumerate(self.rows):
+            if row & mask:
+                out |= 1 << x
+        return out
 
     def is_dense(self, mask: int) -> bool:
-        return self.closure(mask) == self.full
+        """Every row meets mask, i.e. the closure of mask is everything."""
+        self._check_range(mask)
+        for row in self.rows:
+            if not row & mask:
+                return False
+        return True
 
     def minimal_open_neighborhood(self, x: int) -> int:
         """Intersection of all opens containing x: row x."""

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .families import OpenFamily, Quotient, build_quotient
 from .game import RoundRobinStrategy, Strategy
-from .spaces import FiniteSpace, SpaceMap, from_subbasis
+from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis
 
 __all__ = [
     "DirectedPoset",
@@ -47,46 +47,56 @@ __all__ = [
 class DirectedPoset:
     """A finite directed partial order over labeled elements.
 
-    ``labels`` carries the payload (anything hashable); ``leq`` holds index
-    pairs (i, j) meaning i <= j.  Reflexivity, antisymmetry, transitivity
-    and directedness are all enforced at construction.
+    ``labels`` carries the payload (anything hashable).  The constructor
+    takes index pairs (i, j) meaning i <= j and keeps them as rows:
+    ``rows[i]`` is the bitmask of every j with i <= j, as in
+    ``FiniteSpace.rows``.  Reflexivity, antisymmetry, transitivity and
+    directedness are all enforced at construction, in one pass over the
+    pairs of the order: j in rows[i] needs rows[j] inside rows[i], and a
+    finite poset is directed exactly when it has a top, the one element
+    every row holds.
     """
 
-    __slots__ = ("labels", "leq")
+    __slots__ = ("labels", "rows", "_top")
 
     def __init__(self, labels: Iterable, leq: Iterable[tuple[int, int]]):
         labels = tuple(labels)
         n = len(labels)
-        rel = set()
+        rows = [1 << i for i in range(n)]
         for i, j in leq:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError("relation pair (%d, %d) out of range" % (i, j))
-            rel.add((i, j))
-        for i in range(n):
-            rel.add((i, i))
-        for i, j in rel:
-            if i != j and (j, i) in rel:
-                raise ValueError("order is not antisymmetric at (%d, %d)" % (i, j))
-        for i, j in list(rel):
-            for k in range(n):
-                if (j, k) in rel and (i, k) not in rel:
+            rows[i] |= 1 << j
+        common = (1 << n) - 1
+        for i, row in enumerate(rows):
+            bit, outside = 1 << i, ~row
+            for j in bits_of(row ^ bit):
+                if rows[j] & bit:
+                    raise ValueError("order is not antisymmetric at (%d, %d)" % (i, j))
+                stray = rows[j] & outside
+                if stray:
+                    k = (stray & -stray).bit_length() - 1
                     raise ValueError("order is not transitive at (%d, %d, %d)" % (i, j, k))
-        for i in range(n):
-            for j in range(n):
-                if not any((i, u) in rel and (j, u) in rel for u in range(n)):
-                    raise NotDirected("no upper bound for elements %d and %d" % (i, j))
+            common &= row
+        if n and not common:
+            i, j = next((i, j) for i in range(n) for j in range(n) if not rows[i] & rows[j])
+            raise NotDirected("no upper bound for elements %d and %d" % (i, j))
         self.labels = labels
-        self.leq = frozenset(rel)
+        self.rows = tuple(rows)
+        self._top = common.bit_length() - 1 if n else None
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
     def le(self, i: int, j: int) -> bool:
-        return (i, j) in self.leq
+        try:
+            return i >= 0 and (self.rows[i] >> j) & 1 == 1
+        except (IndexError, ValueError):  # i past the last node, or j < 0
+            return False
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self.leq)
+        return [(i, j) for i, row in enumerate(self.rows) for j in bits_of(row)]
 
     def upper_bounds(self, subset: Iterable[int]) -> list[int]:
         subset = list(subset)
@@ -100,10 +110,9 @@ class DirectedPoset:
         return None
 
     def top(self) -> int:
-        t = self.least_upper_bound(range(self.n))
-        if t is None:
+        if self._top is None:
             raise NotDirected("directed finite poset lost its top")
-        return t
+        return self._top
 
     def is_chain(self, elems: Iterable[int]) -> bool:
         elems = list(elems)
@@ -132,11 +141,11 @@ class DirectedPoset:
         return (
             isinstance(other, DirectedPoset)
             and self.labels == other.labels
-            and self.leq == other.leq
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.leq))
+        return hash((self.labels, self.rows))
 
     def __repr__(self) -> str:
         return f"DirectedPoset({self.labels!r})"

@@ -4,6 +4,8 @@ Everything here recomputes a result by a different route than the library
 takes, so agreement means something.  Keep these dumb and direct.
 """
 
+from topolab.errors import EmptySpace, NotDirected
+from topolab.game import GameSolution
 from topolab.spaces import FiniteSpace, SeparationReport, SpaceMap, bits_of
 
 
@@ -280,3 +282,60 @@ def quotient_opens_by_subsets(space: FiniteSpace, assign, m: int) -> set[int]:
         if space.is_open(pre):
             opens.add(u)
     return opens
+
+
+def solve_by_full_scan(space: FiniteSpace) -> GameSolution:
+    """The open-open game by the backward induction ``solve_open_open``
+    first shipped with: covered sets ordered by a (-size, mask) key, moves
+    filtered from the opens and density read from closure_by_closed_scan,
+    so it shares no density test with the library."""
+    if space.point_count == 0:
+        raise EmptySpace("the game needs at least one point")
+    moves = tuple(o for o in space.opens if o)
+    table: dict[int, tuple[str, int | None]] = {}
+    for s in sorted(space.opens, key=lambda m: (-m.bit_count(), m)):
+        if closure_by_closed_scan(space, s) == space.full:
+            table[s] = ("dense", None)
+            continue
+        chosen = None
+        for a in moves:
+            ok = True
+            for b in moves:
+                if b & ~a:
+                    continue
+                s2 = s | b
+                if s2 == s or table[s2][0] == "lose":
+                    ok = False
+                    break
+            if ok:
+                chosen = a
+                break
+        table[s] = ("win", chosen) if chosen is not None else ("lose", None)
+    winner = "I" if table[0][0] in ("dense", "win") else "II"
+    return GameSolution(space=space, winner=winner, table=table)
+
+
+def poset_order_by_pair_loops(n: int, leq) -> frozenset:
+    """The order on range(n) as a set of (i, j) pairs, checked pair by
+    pair: range, antisymmetry, transitivity over every third element, and
+    an upper bound for every pair of elements.  Raises ValueError, or
+    NotDirected when only the upper bound is missing."""
+    rel = set()
+    for i, j in leq:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError("relation pair (%d, %d) out of range" % (i, j))
+        rel.add((i, j))
+    for i in range(n):
+        rel.add((i, i))
+    for i, j in rel:
+        if i != j and (j, i) in rel:
+            raise ValueError("order is not antisymmetric at (%d, %d)" % (i, j))
+    for i, j in list(rel):
+        for k in range(n):
+            if (j, k) in rel and (i, k) not in rel:
+                raise ValueError("order is not transitive at (%d, %d, %d)" % (i, j, k))
+    for i in range(n):
+        for j in range(n):
+            if not any((i, u) in rel and (j, u) in rel for u in range(n)):
+                raise NotDirected("no upper bound for elements %d and %d" % (i, j))
+    return frozenset(rel)

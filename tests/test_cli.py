@@ -51,6 +51,12 @@ def test_gen_rejects_oversize():
     assert run_cli(["gen", "space", "--points", "99"]).returncode == 2
 
 
+def test_gen_system_chain_stays_decodable(capsys):
+    # decode_system refuses more nodes, and the chain's cost grows cubically.
+    assert cli.main(["gen", "system", "--chain", "65"]) == 2
+    assert capsys.readouterr().err == "error: --chain must be at most 64\n"
+
+
 def test_env_seed_fallback(monkeypatch, capsys):
     monkeypatch.setenv("TOPOLAB_SEED", "7")
     assert cli.main(["gen", "space", "--points", "3"]) == 0
@@ -98,6 +104,22 @@ def test_game_rejects_malformed_space(tmp_path, blob):
     assert out.returncode == 2
     assert out.stderr.startswith("error: bad space JSON")
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("points, code", [(8, 0), (9, 2)])
+def test_game_caps_the_number_of_opens(tmp_path, capsys, points, code):
+    from topolab.jsonio import dumps, encode_space
+    from topolab.spaces import FiniteSpace
+
+    space_file = tmp_path / "discrete.json"
+    space_file.write_text(dumps(encode_space(FiniteSpace.discrete(points))))
+    assert cli.MAX_GAME_OPENS == 1 << 8  # discrete(8) has exactly that many opens
+    assert cli.main(["game", "solve", "--in", str(space_file)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: the game takes spaces with at most 256 opens, this one has 512\n"
+    else:
+        assert err == ""
 
 
 def test_game_missing_input_file_is_a_usage_error(tmp_path):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from topolab.enumeration import all_spaces, all_topologies
@@ -25,6 +27,8 @@ from topolab.game import (
 )
 from topolab.randgen import random_clopen_seed, random_family, random_space, rng_for
 from topolab.spaces import FiniteSpace
+
+from oracles import solve_by_full_scan
 
 SIERP = FiniteSpace.sierpinski()
 D2 = FiniteSpace.discrete(2)
@@ -56,6 +60,23 @@ def test_player_I_wins_all_small_topologies():
             assert sol.winner == "I"
             assert verify_winning(space, sol.strategy).winning
             assert verify_winning(space, minimal_open_strategy(space)).winning
+
+
+def _assert_solver_matches_full_scan(space):
+    sol, ref = solve_open_open(space), solve_by_full_scan(space)
+    assert sol.winner == ref.winner
+    assert sol.table == ref.table
+
+
+def test_solver_matches_full_scan_on_small_spaces():
+    for space in all_spaces(4, min_points=1):
+        _assert_solver_matches_full_scan(space)
+
+
+def test_solver_matches_full_scan_on_sampled_five_point_spaces():
+    spaces = list(all_topologies(5))
+    for space in random.Random(6).sample(spaces, 300):
+        _assert_solver_matches_full_scan(space)
 
 
 def test_minimal_strategy_examples():

@@ -157,6 +157,21 @@ def _edited(path, value):
     return blob
 
 
+def _star_system_blob(n):
+    """A valid system of one-point spaces over n nodes, each below the last."""
+    point = FiniteSpace.discrete(1)
+    poset = DirectedPoset([str(i) for i in range(n)], [(i, n - 1) for i in range(n - 1)])
+    bonds = {(i, n - 1): SpaceMap(point, point, [0]) for i in range(n - 1)}
+    return jsonio.encode_system(InverseSystem(poset, (point,) * n, bonds))
+
+
+def test_decode_system_takes_posets_up_to_the_node_cap():
+    cap = jsonio.MAX_SYSTEM_NODES
+    assert jsonio.decode_system(_star_system_blob(cap)).poset.n == cap
+    with pytest.raises(ValueError, match="at most %d nodes" % cap):
+        jsonio.decode_system(_star_system_blob(cap + 1))
+
+
 MALFORMED_SYSTEMS = [
     ("not an object", []),
     ("no bonds", _edited(["bonds"], DROP)),
@@ -164,6 +179,7 @@ MALFORMED_SYSTEMS = [
     ("leq entry not a pair", _edited(["poset", "leq"], [5])),
     ("leq node out of range", _edited(["poset", "leq"], [[0, 7]])),
     ("not directed", _edited(["poset", "leq"], [])),
+    ("more nodes than the cap", _star_system_blob(jsonio.MAX_SYSTEM_NODES + 1)),
     ("missing space", _edited(["spaces", "1"], DROP)),
     ("extra space", _edited(["spaces", "2"], SIERP)),
     ("bond key not a pair", _edited(["bonds", "x"], [0, 1])),

@@ -99,6 +99,40 @@ def test_closure_against_oracle_all_small_spaces():
             assert space.interior(s) == interior_by_definition(space, s)
 
 
+def test_density_against_closed_scan_all_small_spaces():
+    for space in all_spaces(4):
+        for s in range(space.full + 1):
+            assert space.is_dense(s) == (closure_by_closed_scan(space, s) == space.full)
+
+
+@pytest.mark.parametrize("query", ["closure", "is_dense", "interior"])
+def test_queries_reject_masks_out_of_range(query):
+    for space in (FiniteSpace(0, [0]), SIERP, FiniteSpace.chain(3)):
+        for bad in (-1, -(1 << 40), space.full + 1, 1 << space.point_count, 1 << 40):
+            with pytest.raises(ValueError):
+                getattr(space, query)(bad)
+
+
+def test_nonempty_opens_drops_only_the_empty_set():
+    for space in all_spaces(4):
+        assert space.nonempty_opens() == tuple(o for o in space.opens if o)
+    assert FiniteSpace(0, [0]).nonempty_opens() == ()
+
+
+def test_full_is_every_point():
+    named = [FiniteSpace.sierpinski()] + [
+        make(n)
+        for make in (FiniteSpace.discrete, FiniteSpace.indiscrete, FiniteSpace.chain)
+        for n in range(5)
+    ]
+    for space in named:
+        assert space.full == (1 << space.point_count) - 1
+    for n in range(5):
+        rows = [(1 << n) - 1] * n
+        assert FiniteSpace.from_preorder(rows).full == (1 << n) - 1
+        assert FiniteSpace(n, [0, (1 << n) - 1]).full == (1 << n) - 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=5))
 def test_closure_laws_random(seed, n):

@@ -26,6 +26,7 @@ from topolab.systems import (
 
 from oracles import (
     open_onto_image_by_opens,
+    poset_order_by_pair_loops,
     quotient_opens_by_subsets,
     subbasis_by_meets_and_unions,
     union_is_base_by_opens,
@@ -53,6 +54,49 @@ def test_poset_validation():
     assert p.least_upper_bound([0, 1]) == 2
     assert p.is_chain([0, 2]) and not p.is_chain([0, 1])
     assert p.greedy_chain()[-1] == 2
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except (ValueError, NotDirected) as exc:
+        return None, type(exc)
+
+
+def test_poset_validation_matches_pair_loops_on_every_small_relation():
+    for n in range(4):
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        out_of_range = [[], [(0, n)], [(n, 0)], [(-1, 0)]]
+        for code in range(1 << len(cells)):
+            leq = [c for k, c in enumerate(cells) if (code >> k) & 1]
+            # Out-of-range pairs are tried once each, beside the empty relation.
+            for stray in out_of_range if code == 0 else [[]]:
+                pairs = leq + stray
+                poset, error = _outcome(lambda: DirectedPoset(range(n), pairs))
+                order, ref_error = _outcome(lambda: poset_order_by_pair_loops(n, pairs))
+                assert error is ref_error, pairs
+                if poset is None:
+                    continue
+                assert poset.pairs() == sorted(order)
+                for i in range(-1, n + 1):
+                    for j in range(-1, n + 1):
+                        assert poset.le(i, j) == ((i, j) in order)
+                if n:
+                    assert poset.top() == next(
+                        t for t in range(n) if all((i, t) in order for i in range(n))
+                    )
+
+
+def test_wide_posets_build_in_one_pass():
+    # poset_order_by_pair_loops spends time cubic in the node count on both:
+    # minutes on the star, hours on the chain.
+    n = 2000
+    star = DirectedPoset(range(n), ((i, n - 1) for i in range(n - 1)))
+    assert star.top() == n - 1 and star.le(0, n - 1) and not star.le(0, 1)
+    chain = DirectedPoset(range(n), ((i, j) for i in range(n) for j in range(i + 1, n)))
+    assert chain.top() == n - 1 and chain.le(0, n - 1) and not chain.le(1, 0)
+    with pytest.raises(NotDirected, match="elements 0 and 1$"):
+        DirectedPoset(range(n), [(i, 0) for i in range(2, n)])
 
 
 def test_validate_examples():
