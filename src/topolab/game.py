@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import EmptySpace, IllegalMove, NotClopen, StateOverflow
-from .families import OpenFamily, ring_closure, is_skeletal_family
+from .families import OpenFamily, _member_masks, ring_closure, is_skeletal_family
 from .spaces import FiniteSpace
 
 __all__ = [
@@ -642,14 +642,7 @@ def closure_under_strategies(
     fixpoint terminates.
     """
     strategies = list(strategies)
-    if isinstance(seed, OpenFamily):
-        masks = seed.nonempty_members
-    else:
-        masks = tuple(sorted({int(m) for m in seed if m}))
-    for m in masks:
-        if not space.is_open(m):
-            raise ValueError("seed member %r is not open" % m)
-    family = set(masks)
+    family = {m for m in _member_masks(space, seed) if m}
     while True:
         feed = tuple(sorted(family))
         new: set[int] = set()
@@ -674,10 +667,8 @@ def build_tclub_member(space: FiniteSpace, seed: OpenFamily | Iterable[int]) -> 
     """
     if space.point_count == 0:
         raise EmptySpace("club families need a nonempty space")
-    if isinstance(seed, OpenFamily):
-        masks = set(seed.members)
-    else:
-        masks = {int(m) for m in seed}
+    # The clopen test below covers openness of a plain seed.
+    masks = _member_masks(space, seed) if isinstance(seed, OpenFamily) else {int(m) for m in seed}
     clopen = set(space.clopens())
     for m in masks:
         if m not in clopen:

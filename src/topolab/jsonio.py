@@ -36,6 +36,8 @@ __all__ = [
 
 # decode_system refuses larger posets before checking their order.
 MAX_SYSTEM_NODES = 64
+# decode_space refuses larger spaces before building any row.
+MAX_SPACE_POINTS = 1024
 
 
 def dumps(obj: Any) -> str:
@@ -62,6 +64,8 @@ def decode_space(obj: dict) -> FiniteSpace:
     n = obj.get("points")
     if not _is_count(n):
         raise ValueError('"points" must be a nonnegative integer')
+    if n > MAX_SPACE_POINTS:
+        raise ValueError("a space has at most %d points, not %d" % (MAX_SPACE_POINTS, n))
     if not all(_is_points(o, n) for o in obj["opens"]):
         raise ValueError("each open must be a list of points in range(%d)" % n)
     if not any(len(set(o)) == n for o in obj["opens"]):

@@ -2,11 +2,12 @@
 system induced by a directed collection of open families, the embedding of
 the base space into the limit, and the winning strategy lifted to a limit.
 
-A finite directed poset always has a top element, so every finite limit is
-carried by the top space through its projection; the constructions below
-still compute threads and projection-generated topologies in full, because
-the point of the exercise is checking the structural claims, not using
-them.
+A finite directed poset has a top node and the bonds commute, so each
+point p of the top space fixes one thread, (bond(i, top)(p))_i, and every
+thread is fixed so.  ``limit_space`` reads the threads off the top space;
+the search over the product of the node point sets lives on in
+``tests/oracles.py``.  The limit topology is still pulled back from every
+node, as defined.
 """
 
 from __future__ import annotations
@@ -98,16 +99,13 @@ class DirectedPoset:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.rows) for j in bits_of(row)]
 
-    def upper_bounds(self, subset: Iterable[int]) -> list[int]:
-        subset = list(subset)
-        return [u for u in range(self.n) if all(self.le(i, u) for i in subset)]
-
     def least_upper_bound(self, subset: Iterable[int]) -> int | None:
-        ubs = self.upper_bounds(subset)
-        for u in ubs:
-            if all(self.le(u, v) for v in ubs):
-                return u
-        return None
+        """The upper bounds are the AND of the subset's rows; the least one
+        is the bound whose own row is that whole mask."""
+        bounds = (1 << self.n) - 1
+        for i in subset:
+            bounds &= self.rows[i]
+        return next((u for u in bits_of(bounds) if self.rows[u] == bounds), None)
 
     def top(self) -> int:
         if self._top is None:
@@ -122,20 +120,19 @@ class DirectedPoset:
 
     def greedy_chain(self) -> list[int]:
         """Cofinal chain: start at the least-index minimal element and keep
-        stepping to the least strict upper bound, ending at the top."""
-        minimal = [
-            i
-            for i in range(self.n)
-            if not any(j != i and self.le(j, i) for j in range(self.n))
-        ]
-        current = min(minimal) if minimal else 0
+        stepping to the least strict upper bound, ending at the top.  The
+        minimal elements are those in no other element's row."""
+        above = 0
+        for i, row in enumerate(self.rows):
+            above |= row & ~(1 << i)
+        current = next(bits_of(((1 << self.n) - 1) & ~above), 0)
         chain = [current]
-        while True:
-            nxt = [j for j in range(self.n) if j != current and self.le(current, j)]
-            if not nxt:
-                return chain
-            current = min(nxt)
+        up = self.rows[current] & ~(1 << current) if self.n else 0
+        while up:
+            current = next(bits_of(up))
             chain.append(current)
+            up = self.rows[current] & ~(1 << current)
+        return chain
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -201,13 +198,10 @@ def validate_system(sys: InverseSystem) -> SystemCheck:
         if not bond.is_surjective():
             return SystemCheck(False, "bond %d<=%d is not surjective" % (i, j))
     for i, j in poset.pairs():
-        for k in range(poset.n):
-            if poset.le(j, k):
-                left = sys.bond(i, j).compose(sys.bond(j, k))
-                if left != sys.bond(i, k):
-                    return SystemCheck(
-                        False, "bonds do not commute along %d<=%d<=%d" % (i, j, k)
-                    )
+        inner = sys.bond(i, j).assign
+        for k in bits_of(poset.rows[j]):
+            if tuple(inner[p] for p in sys.bond(j, k).assign) != sys.bond(i, k).assign:
+                return SystemCheck(False, "bonds do not commute along %d<=%d<=%d" % (i, j, k))
     return SystemCheck(True, None)
 
 
@@ -226,30 +220,15 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
     if not sys.check.ok:
         raise InvalidSystem(sys.check.witness)
     n = sys.poset.n
-    threads: list[tuple[int, ...]] = []
-    counts = [sp.point_count for sp in sys.spaces]
-
-    def extend(partial: list[int]):
-        idx = len(partial)
-        if idx == n:
-            threads.append(tuple(partial))
-            return
-        for p in range(counts[idx]):
-            ok = True
-            for j, q in enumerate(partial):
-                if sys.poset.le(j, idx) and sys.bond(j, idx).assign[p] != q:
-                    ok = False
-                    break
-                if sys.poset.le(idx, j) and sys.bond(idx, j).assign[q] != p:
-                    ok = False
-                    break
-            if ok:
-                partial.append(p)
-                extend(partial)
-                partial.pop()
-
-    extend([])
-    threads.sort()
+    if n:
+        # Each point of the top space fixes one thread, and every thread.
+        top = sys.poset.top()
+        bonds = [sys.bond(i, top).assign for i in range(n)]
+        threads = sorted(
+            tuple(assign[p] for assign in bonds) for p in range(sys.spaces[top].point_count)
+        )
+    else:
+        threads = [()]
     t = len(threads)
     # A node's rows are a base: pulling back all opens adds nothing.
     subbasis = set()
@@ -317,32 +296,21 @@ def system_from_families(
 ) -> FamilySystem:
     """Quotient space per family, bonds collapsing finer classes onto
     coarser ones.  The collection must be directed by inclusion."""
-    fams: list[frozenset[int]] = []
+    fams: dict[frozenset[int], OpenFamily] = {}
     for entry in collection:
-        if isinstance(entry, OpenFamily):
-            if entry.space != space:
-                raise ValueError("family belongs to a different space")
-            fams.append(entry.members)
-        else:
-            fams.append(OpenFamily.of(space, entry).members)
-    fams = sorted(set(fams), key=lambda f: (len(f), sorted(f)))
-    for a in fams:
-        for b in fams:
-            if not any(a | b <= c for c in fams):
-                raise NotDirected(
-                    "families %r and %r have no common superfamily"
-                    % (sorted(a), sorted(b))
-                )
-    families = tuple(OpenFamily(space, f) for f in fams)
+        if not isinstance(entry, OpenFamily):
+            entry = OpenFamily.of(space, entry)
+        elif entry.space != space:
+            raise ValueError("family belongs to a different space")
+        fams.setdefault(entry.members, entry)
+    families = tuple(sorted(fams.values(), key=lambda f: (len(f), f.sorted_members)))
+    # The poset raises NotDirected for the first pair with no common superfamily.
+    members = [f.members for f in families]
+    poset = DirectedPoset(
+        (f.sorted_members for f in families),
+        ((i, j) for i, a in enumerate(members) for j, b in enumerate(members) if a <= b),
+    )
     quotients = tuple(build_quotient(space, f) for f in families)
-    labels = tuple(tuple(sorted(f.members)) for f in families)
-    leq = [
-        (i, j)
-        for i in range(len(fams))
-        for j in range(len(fams))
-        if fams[i] <= fams[j]
-    ]
-    poset = DirectedPoset(labels, leq)
     bonds = {}
     for i, j in poset.pairs():
         if i == j:
@@ -519,21 +487,13 @@ def check_sigma_completeness(
     elif not all(sys.poset.le(c, sup) for c in chain):
         raise NotAChain("designated sup is not an upper bound of the chain")
 
-    chain.sort(key=lambda c: sum(1 for d in chain if sys.poset.le(d, c)))
-    sub_labels = tuple(sys.poset.labels[c] for c in chain)
-    sub_leq = [
-        (a, b)
-        for a in range(len(chain))
-        for b in range(len(chain))
-        if sys.poset.le(chain[a], chain[b])
-    ]
-    sub_poset = DirectedPoset(sub_labels, sub_leq)
-    sub_bonds = {
-        (a, b): sys.bond(chain[a], chain[b])
-        for a in range(len(chain))
-        for b in range(len(chain))
-        if sub_poset.le(a, b)
-    }
+    # Lower elements of a chain have larger up-sets.
+    chain.sort(key=lambda c: -sys.poset.rows[c].bit_count())
+    sub_poset = DirectedPoset(
+        (sys.poset.labels[c] for c in chain),
+        ((a, b) for a in range(len(chain)) for b in range(a, len(chain))),
+    )
+    sub_bonds = {(a, b): sys.bond(chain[a], chain[b]) for a, b in sub_poset.pairs()}
     subsystem = InverseSystem(
         poset=sub_poset,
         spaces=tuple(sys.spaces[c] for c in chain),

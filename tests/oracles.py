@@ -339,3 +339,73 @@ def poset_order_by_pair_loops(n: int, leq) -> frozenset:
             if not any((i, u) in rel and (j, u) in rel for u in range(n)):
                 raise NotDirected("no upper bound for elements %d and %d" % (i, j))
     return frozenset(rel)
+
+
+def threads_by_search(sys) -> tuple[tuple[int, ...], ...]:
+    """Every thread of a valid inverse system, by backtracking over the
+    product of the node point sets: a partial thread grows by one node at
+    a time, keeping only points that agree with every bond to an earlier
+    node.  Sorted, as ``LimitSpace.threads``."""
+    n = sys.poset.n
+    threads: list[tuple[int, ...]] = []
+    counts = [sp.point_count for sp in sys.spaces]
+
+    def extend(partial: list[int]):
+        idx = len(partial)
+        if idx == n:
+            threads.append(tuple(partial))
+            return
+        for p in range(counts[idx]):
+            ok = True
+            for j, q in enumerate(partial):
+                if sys.poset.le(j, idx) and sys.bond(j, idx).assign[p] != q:
+                    ok = False
+                    break
+                if sys.poset.le(idx, j) and sys.bond(idx, j).assign[q] != p:
+                    ok = False
+                    break
+            if ok:
+                partial.append(p)
+                extend(partial)
+                partial.pop()
+
+    extend([])
+    threads.sort()
+    return tuple(threads)
+
+
+def least_upper_bound_by_le(poset, subset):
+    """The upper bound of ``subset`` below every other upper bound, or
+    None, by calling ``le`` over every element."""
+    subset = list(subset)
+    ubs = [u for u in range(poset.n) if all(poset.le(i, u) for i in subset)]
+    for u in ubs:
+        if all(poset.le(u, v) for v in ubs):
+            return u
+    return None
+
+
+def greedy_chain_by_le(poset) -> list[int]:
+    """Start at the least-index minimal element and keep stepping to the
+    least strict upper bound, by calling ``le`` over every element."""
+    n = poset.n
+    minimal = [i for i in range(n) if not any(j != i and poset.le(j, i) for j in range(n))]
+    current = min(minimal) if minimal else 0
+    chain = [current]
+    while True:
+        nxt = [j for j in range(n) if j != current and poset.le(current, j)]
+        if not nxt:
+            return chain
+        current = min(nxt)
+        chain.append(current)
+
+
+def commutation_witness_by_compose(sys):
+    """The first triple i <= j <= k, in ``validate_system``'s order, where
+    bond(i, j) after bond(j, k) differs from bond(i, k) as a SpaceMap."""
+    poset = sys.poset
+    for i, j in poset.pairs():
+        for k in range(poset.n):
+            if poset.le(j, k) and sys.bond(i, j).compose(sys.bond(j, k)) != sys.bond(i, k):
+                return "bonds do not commute along %d<=%d<=%d" % (i, j, k)
+    return None

@@ -122,6 +122,17 @@ def test_game_caps_the_number_of_opens(tmp_path, capsys, points, code):
         assert err == ""
 
 
+def test_game_caps_the_number_of_points(tmp_path, capsys):
+    from topolab.jsonio import MAX_SPACE_POINTS, dumps
+
+    n = MAX_SPACE_POINTS + 1
+    space_file = tmp_path / "indiscrete.json"
+    space_file.write_text(dumps({"points": n, "opens": [[], list(range(n))]}))
+    assert cli.main(["game", "solve", "--in", str(space_file)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: bad space JSON: a space has at most 1024 points, not 1025\n"
+
+
 def test_game_missing_input_file_is_a_usage_error(tmp_path):
     out = run_cli(["game", "solve", "--in", str(tmp_path / "absent.json")])
     assert out.returncode == 2

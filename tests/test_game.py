@@ -4,7 +4,7 @@ import pytest
 
 from topolab.enumeration import all_spaces, all_topologies
 from topolab.errors import EmptySpace, IllegalMove, NotClopen, StateOverflow
-from topolab.families import build_quotient, seq_family
+from topolab.families import OpenFamily, build_quotient, seq_family
 from topolab.game import (
     EchoStrategy,
     HistoryStrategy,
@@ -214,6 +214,20 @@ def test_closure_examples():
 def test_closure_drops_empty_seed_members():
     fam = closure_under_strategies(D2, [0, 0b01], [RoundRobinStrategy(D2, [0b01])])
     assert fam.members == frozenset({0b01})
+
+
+def test_closure_and_club_reject_a_family_of_another_space():
+    with pytest.raises(ValueError, match="family belongs to a different space"):
+        closure_under_strategies(D2, OpenFamily.of(SIERP, [0b10]), [UnionStrategy(D2)])
+    with pytest.raises(ValueError, match="family belongs to a different space"):
+        build_tclub_member(D2, OpenFamily.of(D3, [0b001]))
+    # a family of an equal space is the same family
+    same = OpenFamily.of(FiniteSpace.discrete(2), [0b01])
+    assert closure_under_strategies(D2, same, []).members == {0b01}
+    with pytest.raises(ValueError, match="not open"):
+        closure_under_strategies(SIERP, [0b01], [])
+    with pytest.raises(NotClopen):
+        build_tclub_member(SIERP, [0b01])  # {0} is not even open
 
 
 def test_history_strategy_wrapper():

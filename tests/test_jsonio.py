@@ -101,6 +101,34 @@ def test_dumps_is_key_sorted_and_compact():
     assert jsonio.dumps({"b": 1, "a": [2, 1]}) == '{"a":[2,1],"b":1}\n'
 
 
+def _indiscrete_blob(n):
+    return {"points": n, "opens": [[], list(range(n))]}
+
+
+MALFORMED_SPACES = [
+    ("not an object", []),
+    ("no opens", {"points": 2}),
+    ("negative points", {"points": -1, "opens": [[]]}),
+    ("point out of range", {"points": 2, "opens": [[], [2], [0, 1]]}),
+    ("no open lists every point", {"points": 2, "opens": [[], [0]]}),
+    ("one point over the cap", _indiscrete_blob(jsonio.MAX_SPACE_POINTS + 1)),
+    ("far over the cap", _indiscrete_blob(40000)),
+]
+
+
+@pytest.mark.parametrize("case, obj", MALFORMED_SPACES, ids=[c for c, _ in MALFORMED_SPACES])
+def test_decode_space_rejects_malformed_input(case, obj):
+    with pytest.raises(ValueError):
+        jsonio.decode_space(obj)
+
+
+def test_decode_space_takes_spaces_up_to_the_point_cap():
+    cap = jsonio.MAX_SPACE_POINTS
+    assert jsonio.decode_space(_indiscrete_blob(cap)).point_count == cap
+    with pytest.raises(ValueError, match="at most %d points, not %d" % (cap, cap + 1)):
+        jsonio.decode_space(_indiscrete_blob(cap + 1))
+
+
 MALFORMED_FAMILIES = [
     [],
     {"space": SIERP},

@@ -25,10 +25,14 @@ from topolab.systems import (
 )
 
 from oracles import (
+    commutation_witness_by_compose,
+    greedy_chain_by_le,
+    least_upper_bound_by_le,
     open_onto_image_by_opens,
     poset_order_by_pair_loops,
     quotient_opens_by_subsets,
     subbasis_by_meets_and_unions,
+    threads_by_search,
     union_is_base_by_opens,
 )
 
@@ -87,6 +91,24 @@ def test_poset_validation_matches_pair_loops_on_every_small_relation():
                     )
 
 
+def test_poset_queries_match_le_loops_on_every_small_poset():
+    posets = 0
+    for n in range(4):
+        cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for code in range(1 << len(cells)):
+            pairs = [c for k, c in enumerate(cells) if (code >> k) & 1]
+            poset, _ = _outcome(lambda: DirectedPoset(range(n), pairs))
+            if poset is None:
+                continue
+            posets += 1
+            assert poset.greedy_chain() == greedy_chain_by_le(poset)
+            for subset in range(1 << n):
+                elems = [i for i in range(n) if (subset >> i) & 1]
+                assert poset.least_upper_bound(elems) == least_upper_bound_by_le(poset, elems)
+    # the directed posets on 0-3 labeled nodes: 1, 1, 2, 9
+    assert posets == 13
+
+
 def test_wide_posets_build_in_one_pass():
     # poset_order_by_pair_loops spends time cubic in the node count on both:
     # minutes on the star, hours on the chain.
@@ -121,6 +143,31 @@ def test_validate_commutation():
     assert not chk.ok and "commute" in chk.witness
 
 
+def test_commutation_witness_matches_compose_loop():
+    rng = rng_for(29, "commute-oracle")
+    failed = 0
+    for i in range(300):
+        sys = random_quotient_chain(rng, 3 + (i % 2), 3 + (i % 2), discrete_top=(i % 3 > 0))
+        assert sys.check.ok and commutation_witness_by_compose(sys) is None
+        pairs = [(a, b) for a, b in sys.poset.pairs() if a < b and sys.spaces[a].point_count > 1]
+        if not pairs:
+            continue
+        low, high = rng.choice(pairs)
+        bond = sys.bond(low, high)
+        # Swap two points of the codomain; skip swaps that break continuity.
+        swap = list(range(bond.codomain.point_count))
+        x, y = rng.sample(swap, 2)
+        swap[x], swap[y] = y, x
+        if not SpaceMap(bond.codomain, bond.codomain, swap).is_continuous():
+            continue
+        bonds = dict(sys.bonds)
+        bonds[(low, high)] = SpaceMap(bond.domain, bond.codomain, (swap[a] for a in bond.assign))
+        perturbed = InverseSystem(sys.poset, sys.spaces, bonds)
+        assert perturbed.check.witness == commutation_witness_by_compose(perturbed)
+        failed += not perturbed.check.ok
+    assert failed > 100
+
+
 def test_limit_examples():
     const = two_node_system(D2, D2, [0, 1])
     lim = limit_space(const)
@@ -135,6 +182,32 @@ def test_limit_examples():
     empty = FiniteSpace(0, [0])
     single = InverseSystem(DirectedPoset(("e",), []), (empty,), {})
     assert limit_space(single).space.point_count == 0
+
+
+def test_limit_threads_match_the_search():
+    rng = rng_for(23, "threads-oracle")
+    empty = FiniteSpace(0, [0])
+    systems_seen = [
+        InverseSystem(DirectedPoset((), []), (), {}),
+        InverseSystem(DirectedPoset(("e",), []), (empty,), {}),
+        two_node_system(empty, empty, []),
+    ]
+    for i in range(120):
+        systems_seen.append(
+            random_quotient_chain(rng, 1 + (i % 4), 1 + (i % 4), discrete_top=(i % 3 == 0))
+        )
+    non_chain = 0
+    for i in range(2000):
+        space = random_space(rng, 1 + (i % 4))
+        fams = random_union_closed_families(rng, space, 1 + (i % 4))
+        sys = system_from_families(space, fams).system
+        non_chain += not sys.poset.is_chain(range(sys.poset.n))
+        systems_seen.append(sys)
+    assert non_chain > 500
+    for sys in systems_seen:
+        assert limit_space(sys).threads == threads_by_search(sys)
+    assert limit_space(systems_seen[0]).threads == ((),)
+    assert limit_space(systems_seen[2]).threads == ()
 
 
 def test_limit_requires_valid_system():
