@@ -55,8 +55,9 @@ def preorders(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def all_topologies(n: int) -> Iterator[FiniteSpace]:
+    """The up-set topology of each preorder, whose rows are already closed."""
     for rows in preorders(n):
-        yield FiniteSpace.from_preorder(rows)
+        yield FiniteSpace._from_closed_rows(rows)
 
 
 def all_spaces(max_points: int, min_points: int = 0) -> list[FiniteSpace]:

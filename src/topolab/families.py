@@ -81,21 +81,23 @@ class OpenFamily:
 def classes_of(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> tuple[int, ...]:
     """Partition of the points by equal membership across the family.
 
-    Classes come out in order of first occurrence while scanning points
-    ascending, as bitmasks.
+    Starts from the one block of all points (none on the empty space) and
+    splits every block by each member into its parts inside and outside
+    the member, dropping empty parts.  Classes come out as bitmasks in
+    order of their lowest point, which is the order of first occurrence
+    while scanning points ascending.
     """
-    members = _member_masks(space, family)
-    classes: list[int] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for x in range(space.point_count):
-        sig = tuple((m >> x) & 1 for m in members)
-        idx = seen.get(sig)
-        if idx is None:
-            seen[sig] = len(classes)
-            classes.append(1 << x)
-        else:
-            classes[idx] |= 1 << x
-    return tuple(classes)
+    blocks = [space.full] if space.point_count else []
+    for m in _member_masks(space, family):
+        split = []
+        for c in blocks:
+            inside = c & m
+            if inside:
+                split.append(inside)
+            if inside != c:
+                split.append(c ^ inside)
+        blocks = split
+    return tuple(sorted(blocks, key=lambda c: c & -c))
 
 
 @dataclass(frozen=True)
@@ -133,14 +135,15 @@ def build_quotient(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> Qu
     for idx, c in enumerate(classes):
         for x in bits_of(c):
             assign[x] = idx
-    k = len(classes)
+    # Each member is a union of classes: its image is the classes it meets.
     images = []
     for m in members:
         img = 0
-        for x in bits_of(m):
-            img |= 1 << assign[x]
+        for idx, c in enumerate(classes):
+            if c & m:
+                img |= 1 << idx
         images.append(img)
-    qspace = from_subbasis(k, images)
+    qspace = from_subbasis(len(classes), images)
     qmap = SpaceMap(space, qspace, assign)
     identity = all(qmap.preimage_of(img) == m for m, img in zip(members, images))
     continuous = qmap.is_continuous()

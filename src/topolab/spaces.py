@@ -83,10 +83,21 @@ class FiniteSpace:
     intersection.  Since every member and every meet of two is the union
     of the rows of its points, it suffices that o | row is a member for
     every member o and row (o = 0 makes each row one): O(|opens|*n)
-    lookups, not O(|opens|**2).  ``from_preorder`` and the named
-    constructors build from rows, which need only a range check; they hand
-    ``__init__`` the closed rows as ``_rows``, which skips the derivation
-    and the check, so every space is still constructed by ``__init__``.
+    lookups, not O(|opens|**2).
+
+    Every other constructor builds from rows, which need only a range
+    check, through ``_from_closed_rows``: it takes the union closure of
+    rows that are already reflexive and transitive and hands them to
+    ``__init__`` as ``_rows``, which skips the derivation and the check,
+    so every space is still constructed by ``__init__``.  Its callers:
+
+    - ``from_preorder`` (and the named constructors through it) closes
+      arbitrary rows first, by the package's one Warshall pass;
+    - ``from_subbasis``: rows[x], the meet of the generators holding x,
+      holds x, and each y in it has every such generator, so rows[y] is
+      inside rows[x];
+    - ``enumeration.all_topologies``: ``preorders`` yields only reflexive
+      transitive rows.
     """
 
     __slots__ = ("point_count", "full", "opens", "_open_set", "rows")
@@ -163,10 +174,18 @@ class FiniteSpace:
             for i in range(n):
                 if (rows[i] >> k) & 1:
                     rows[i] |= rows[k]
+        return cls._from_closed_rows(rows)
+
+    @classmethod
+    def _from_closed_rows(cls, rows: Iterable[int]) -> "FiniteSpace":
+        """The space of rows that are already in range, reflexive and
+        transitive (y in rows[x] puts rows[y] inside rows[x]); its opens
+        are their unions."""
+        rows = tuple(rows)
         opens = {0}
         for m in set(rows):
             opens |= {o | m for o in opens}
-        return cls(n, opens, _rows=tuple(rows))
+        return cls(len(rows), opens, _rows=rows)
 
     # -- basic queries -------------------------------------------------
 
@@ -291,7 +310,8 @@ def from_subbasis(point_count: int, subbasis: Iterable[int]) -> FiniteSpace:
 
     A point's minimal open neighborhood is the intersection of the
     generators containing it (the full set if none does), and those
-    neighborhoods are the rows of the topology's preorder.
+    neighborhoods are the rows of the topology's preorder, already
+    reflexive and transitive.
     """
     full = (1 << point_count) - 1
     gens = set()
@@ -304,7 +324,7 @@ def from_subbasis(point_count: int, subbasis: Iterable[int]) -> FiniteSpace:
     for g in gens:
         for x in bits_of(g):
             rows[x] &= g
-    return FiniteSpace.from_preorder(rows)
+    return FiniteSpace._from_closed_rows(rows)
 
 
 def frink_conditions(space: FiniteSpace, base: Iterable[int]) -> FrinkReport:

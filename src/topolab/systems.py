@@ -121,13 +121,16 @@ class DirectedPoset:
     def greedy_chain(self) -> list[int]:
         """Cofinal chain: start at the least-index minimal element and keep
         stepping to the least strict upper bound, ending at the top.  The
-        minimal elements are those in no other element's row."""
+        minimal elements are those in no other element's row.  The empty
+        poset has the empty chain."""
+        if not self.n:
+            return []
         above = 0
         for i, row in enumerate(self.rows):
             above |= row & ~(1 << i)
-        current = next(bits_of(((1 << self.n) - 1) & ~above), 0)
+        current = next(bits_of(((1 << self.n) - 1) & ~above))
         chain = [current]
-        up = self.rows[current] & ~(1 << current) if self.n else 0
+        up = self.rows[current] & ~(1 << current)
         while up:
             current = next(bits_of(up))
             chain.append(current)
@@ -413,7 +416,9 @@ def limit_strategy(lim: LimitSpace) -> Strategy:
     Requires skeletal bonds.  Each node contributes its minimal opens (a
     pi-base), lifted through the projection; the opponent's replies inside
     the lift of a minimal open of the top space project back onto it, so
-    the union of replies is dense in the limit.
+    the union of replies is dense in the limit.  A system without nodes
+    has the empty chain and lifts no moves, so the round robin refuses it
+    with ``EmptySpace``.
     """
     sys = lim.system
     for i, j in sys.poset.pairs():

@@ -60,6 +60,23 @@ def kolmogorov_quotient(space: FiniteSpace):
     return tuple(classes), tuple(assign), FiniteSpace(k, opens)
 
 
+def classes_by_signature(space: FiniteSpace, members) -> tuple[int, ...]:
+    """Points grouped by their tuple of memberships across the members, in
+    order of first occurrence while scanning points ascending."""
+    members = tuple(members)
+    classes: list[int] = []
+    seen: dict[tuple[int, ...], int] = {}
+    for x in range(space.point_count):
+        sig = tuple((m >> x) & 1 for m in members)
+        idx = seen.get(sig)
+        if idx is None:
+            seen[sig] = len(classes)
+            classes.append(1 << x)
+        else:
+            classes[idx] |= 1 << x
+    return tuple(classes)
+
+
 def two_valued_separation(space: FiniteSpace) -> bool:
     """Complete regularity by brute force over all two-valued maps."""
     d2 = FiniteSpace.discrete(2)
@@ -389,8 +406,10 @@ def greedy_chain_by_le(poset) -> list[int]:
     """Start at the least-index minimal element and keep stepping to the
     least strict upper bound, by calling ``le`` over every element."""
     n = poset.n
+    if n == 0:
+        return []
     minimal = [i for i in range(n) if not any(j != i and poset.le(j, i) for j in range(n))]
-    current = min(minimal) if minimal else 0
+    current = min(minimal)
     chain = [current]
     while True:
         nxt = [j for j in range(n) if j != current and poset.le(current, j)]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from topolab.enumeration import preorders
+from topolab.enumeration import all_topologies, preorders
 from topolab.spaces import FiniteSpace
 
 from oracles import is_topology, preorders_by_filter, upset_opens
@@ -11,6 +11,13 @@ from oracles import is_topology, preorders_by_filter, upset_opens
 @pytest.mark.parametrize("n", range(5))
 def test_preorders_match_filter_in_order(n):
     assert list(preorders(n)) == preorders_by_filter(n)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_all_topologies_are_the_upset_topologies_of_preorders(n):
+    for space, rows in zip(all_topologies(n), preorders(n), strict=True):
+        assert space.rows == rows
+        assert set(space.opens) == upset_opens(rows), rows
 
 
 @pytest.mark.parametrize("n, count", [(5, 6942), (6, 209_527)])

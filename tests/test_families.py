@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from topolab import families
 from topolab.enumeration import all_spaces
 from topolab.errors import NotAPiBase, NotContinuous
 from topolab.families import (
@@ -19,6 +20,7 @@ from topolab.spaces import FiniteSpace, SpaceMap
 from oracles import (
     all_surjections,
     base_by_unions_below,
+    classes_by_signature,
     every_family,
     kolmogorov_quotient,
     least_open_without_member,
@@ -36,6 +38,35 @@ def test_classes_examples():
     assert classes_of(CHAIN3, [0b001]) == (0b001, 0b110)
     assert classes_of(CHAIN3, []) == (0b111,)
     assert classes_of(CHAIN3, [0b001, 0b011]) == (0b001, 0b010, 0b100)
+
+
+def test_classes_match_signatures_exhaustive():
+    for space in all_spaces(3):
+        for members in every_family(space):
+            assert classes_of(space, members) == classes_by_signature(space, members)
+
+
+def test_classes_match_signatures_random():
+    rng = rng_for(8, "classes")
+    for _ in range(2000):
+        space = random_space(rng, rng.choice([4, 5]))
+        fam = random_family(rng, space)
+        assert classes_of(space, fam) == classes_by_signature(space, fam.members), fam
+
+
+def test_identity_check_catches_merged_classes(monkeypatch):
+    # A partition that merges two classes must make the identity check
+    # fail, so the check reads the built map and is no constant.
+    true_classes = families.classes_of
+
+    def merge_first_two(space, family):
+        classes = true_classes(space, family)
+        if len(classes) < 2:
+            return classes
+        return (classes[0] | classes[1],) + classes[2:]
+
+    monkeypatch.setattr(families, "classes_of", merge_first_two)
+    assert not all(build_quotient(D2, members).identity_holds for members in every_family(D2))
 
 
 def test_family_must_be_open():

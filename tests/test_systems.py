@@ -435,6 +435,16 @@ def test_limit_strategy_requires_skeletal_bonds():
         limit_strategy(limit_space(single))
 
 
+def test_limit_strategy_on_the_system_without_nodes():
+    # The limit is the one empty thread, but no node has moves to lift.
+    nodeless = DirectedPoset((), [])
+    assert nodeless.greedy_chain() == []
+    lim = limit_space(InverseSystem(nodeless, (), {}))
+    assert lim.threads == ((),)
+    with pytest.raises(EmptySpace):
+        limit_strategy(lim)
+
+
 def test_limit_strategy_seeded():
     rng = rng_for(21, "limit-strat")
     verified = 0
