@@ -48,10 +48,6 @@ class OpenFamily:
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
 
-    @property
-    def nonempty_members(self) -> tuple[int, ...]:
-        return tuple(m for m in sorted(self.members) if m)
-
     def union_mask(self) -> int:
         u = 0
         for m in self.members:

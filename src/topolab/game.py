@@ -52,6 +52,12 @@ __all__ = [
     "count_ii_strategies",
 ]
 
+# verify_winning raises StateOverflow after exploring this many nodes.
+VERIFY_NODE_LIMIT = 500_000
+# A strategy closure raises StateOverflow once one strategy reaches more
+# states than this.
+CLOSURE_STATE_LIMIT = 100_000
+
 
 def default_first_move(space: FiniteSpace) -> int:
     """Least nonempty clopen set, else least nonempty open set."""
@@ -60,7 +66,7 @@ def default_first_move(space: FiniteSpace) -> int:
     clop = [c for c in space.clopens() if c]
     if clop:
         return min(clop)
-    return min(space.nonempty_opens())
+    return space.opens[1]
 
 
 class Strategy:
@@ -81,9 +87,6 @@ class Strategy:
     def step(self, state, observed):
         raise NotImplementedError
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "player": self.player}
-
     def apply_history(self, history: Iterable[int]) -> int:
         """The move this strategy makes after observing the given replies."""
         move, state = self.step(self.initial_state(), None)
@@ -100,24 +103,22 @@ class PositionalStrategy(Strategy):
     def __init__(self, space: FiniteSpace, table: dict[int, tuple[str, int | None]]):
         self.space = space
         self.table = table
-        self._fallback = min(space.nonempty_opens()) if space.point_count else 0
 
     def initial_state(self):
         return 0
 
     def step(self, state, observed):
         covered = state if observed is None else state | observed
-        status, move = self.table[covered]
-        if move is None:
-            move = self._fallback
-        return move, covered
+        return self.move_at(covered), covered
 
-    def descriptor(self) -> dict:
-        rows = [
-            {"covered": c, "status": status, "move": move}
-            for c, (status, move) in sorted(self.table.items())
-        ]
-        return {"kind": self.kind, "player": self.player, "table": rows}
+    def move_at(self, covered: int) -> int:
+        """The table's move at ``covered``; where the table has none (a
+        dense or lost position), the least nonempty open, or 0 on the
+        space without points."""
+        move = self.table[covered][1]
+        if move is None:
+            return self.space.opens[1] if self.space.point_count else 0
+        return move
 
 
 class RoundRobinStrategy(Strategy):
@@ -136,9 +137,6 @@ class RoundRobinStrategy(Strategy):
 
     def step(self, state, observed):
         return self.moves[state], (state + 1) % len(self.moves)
-
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "player": self.player, "moves": list(self.moves)}
 
 
 class WitnessStrategy(Strategy):
@@ -181,14 +179,6 @@ class WitnessStrategy(Strategy):
                 return comp
         return self.default
 
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "player": self.player,
-            "variant": "complement" if self.complement else "identity",
-            "default": self.default,
-        }
-
 
 class UnionStrategy(Strategy):
     """Emits the union of everything observed so far; default on the
@@ -209,9 +199,6 @@ class UnionStrategy(Strategy):
         acc = state | observed
         return acc, acc
 
-    def descriptor(self) -> dict:
-        return {"kind": self.kind, "player": self.player, "default": self.default}
-
 
 class HybridClopenStrategy(Strategy):
     """Winning strategy whose moves stay clopen while the opponent's do.
@@ -220,8 +207,9 @@ class HybridClopenStrategy(Strategy):
     subset of an atom is the atom itself, so clopen replies are forced
     echoes and the atoms' union is the whole space).  The moment the
     opponent replies with a non-clopen set, it switches to the solved
-    positional table from the current covered set.  Strategy closures of
-    clopen families therefore stay inside the clopen algebra.
+    positional strategy: each later move is ``move_at`` of the covered
+    set.  Strategy closures of clopen families therefore stay inside the
+    clopen algebra.
     """
 
     kind = "hybrid_clopen"
@@ -230,10 +218,9 @@ class HybridClopenStrategy(Strategy):
         if space.point_count == 0:
             raise EmptySpace("no moves exist on the empty space")
         self.space = space
-        self.solution = solution
+        self.positional = solution.strategy
         self.atoms = space.clopen_atoms()
         self._clopen = set(space.clopens())
-        self._fallback = min(space.nonempty_opens())
 
     def initial_state(self):
         return ("atoms", 0, 0)
@@ -247,22 +234,11 @@ class HybridClopenStrategy(Strategy):
             covered |= observed
             if observed in self._clopen:
                 return self.atoms[idx], ("atoms", (idx + 1) % len(self.atoms), covered)
-            return self._solve_move(covered), ("solve", covered)
+            return self.positional.move_at(covered), ("solve", covered)
         _, covered = state
         if observed is not None:
             covered |= observed
-        return self._solve_move(covered), ("solve", covered)
-
-    def _solve_move(self, covered: int) -> int:
-        status, move = self.solution.table[covered]
-        return self._fallback if move is None else move
-
-    def descriptor(self) -> dict:
-        return {
-            "kind": self.kind,
-            "player": self.player,
-            "atoms": list(self.atoms),
-        }
+        return self.positional.move_at(covered), ("solve", covered)
 
 
 class HistoryStrategy(Strategy):
@@ -351,23 +327,14 @@ class TableStrategy(Strategy):
 
     def __init__(self, player: str, init_state: int, table: dict):
         self.player = player
-        self._init = init_state
+        self.init = init_state
         self.table = table
 
     def initial_state(self):
-        return self._init
+        return self.init
 
     def step(self, state, observed):
         return self.table[(state, observed)]
-
-    def descriptor(self) -> dict:
-        rows = [
-            {"state": s, "observed": o, "move": m, "next": t}
-            for (s, o), (m, t) in sorted(
-                self.table.items(), key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1])
-            )
-        ]
-        return {"kind": self.kind, "player": self.player, "init": self._init, "table": rows}
 
 
 # -- solving -----------------------------------------------------------
@@ -468,16 +435,17 @@ def _check_i_move(space: FiniteSpace, move: int) -> None:
         raise IllegalMove("Player I emitted %r" % move)
 
 
-def verify_winning(
-    space: FiniteSpace, strategy: Strategy, node_limit: int = 500_000
-) -> VerifyResult:
+def verify_winning(space: FiniteSpace, strategy: Strategy) -> VerifyResult:
     """Exact adversarial check of a Player I strategy.
 
     Explores the product of strategy states and covered sets over every
-    legal reply.  Covered sets only grow, so any reachable cycle keeps a
-    non-dense covered set forever and witnesses a way to survive; absence
-    of cycles means every play reaches density.  Returns a concrete
-    opposing play on failure.
+    legal reply, depth first.  Covered sets only grow, so any reachable
+    cycle keeps a non-dense covered set forever and witnesses a way to
+    survive; absence of cycles means every play reaches density.  Returns
+    a concrete opposing play on failure: an illegal move ends it, and a
+    cycle back to a node on the current path makes it a lasso whose
+    ``loop_start`` is the number of rounds before that node.  Raises
+    StateOverflow after ``VERIFY_NODE_LIMIT`` nodes.
     """
     if space.point_count == 0:
         return VerifyResult(True, None, 0)
@@ -496,53 +464,39 @@ def verify_winning(
         return VerifyResult(False, PlayTrace(rounds=(), loop_start=None), 0)
 
     root = (st0, move0, 0)
-    color: dict = {}
+    # The stack is the current path: one frame (node, its remaining
+    # replies, the round that reached it) per node.  on_path maps each of
+    # its nodes to the number of rounds before it.
+    stack = [(root, iter(replies(move0)), None)]
+    on_path = {root: 0}
+    done = set()
     nodes = 0
-    # iterative DFS; each frame is (node, reply iterator, rounds so far)
-    GRAY, BLACK = 1, 2
-    path_rounds: list[tuple[int, int]] = []
-    path_index: dict = {}
-    stack = [(root, iter(replies(move0)))]
-    color[root] = GRAY
-    path_index[root] = 0
     while stack:
-        node, it = stack[-1]
+        node, it, _ = stack[-1]
         st, a, covered = node
-        advanced = False
         for b in it:
             nodes += 1
-            if nodes > node_limit:
-                raise StateOverflow("verification exceeded %d nodes" % node_limit)
+            if nodes > VERIFY_NODE_LIMIT:
+                raise StateOverflow("verification exceeded %d nodes" % VERIFY_NODE_LIMIT)
             cov2 = covered | b
             if space.is_dense(cov2):
                 continue
             move2, st2 = strategy.step(st, b)
-            if not move2 or not space.is_open(move2):
-                rounds = tuple(path_rounds) + ((a, b),)
-                return VerifyResult(False, PlayTrace(rounds=rounds, loop_start=None), nodes)
             child = (st2, move2, cov2)
-            c = color.get(child)
-            if c == GRAY:
-                rounds = tuple(path_rounds) + ((a, b),)
-                return VerifyResult(
-                    False,
-                    PlayTrace(rounds=rounds, loop_start=path_index[child]),
-                    nodes,
-                )
-            if c == BLACK:
+            if child in done:  # only nodes with legal moves are ever pushed
                 continue
-            color[child] = GRAY
-            path_rounds.append((a, b))
-            path_index[child] = len(path_rounds)
-            stack.append((child, iter(replies(move2))))
-            advanced = True
+            illegal = not move2 or not space.is_open(move2)
+            if illegal or child in on_path:
+                rounds = tuple(frame[2] for frame in stack[1:]) + ((a, b),)
+                loop_start = None if illegal else on_path[child]
+                return VerifyResult(False, PlayTrace(rounds, loop_start), nodes)
+            on_path[child] = len(stack)
+            stack.append((child, iter(replies(move2)), (a, b)))
             break
-        if not advanced:
-            color[node] = BLACK
+        else:
+            done.add(node)
+            del on_path[node]
             stack.pop()
-            if path_rounds:
-                path_rounds.pop()
-            path_index.pop(node, None)
     return VerifyResult(True, None, nodes)
 
 
@@ -551,14 +505,14 @@ def play(
     strategy_i: Strategy,
     strategy_ii: Strategy,
     max_rounds: int | None = None,
-    detect_stagnation: bool = True,
 ) -> Transcript:
     """Run one game to a verdict or a cutoff.
 
-    With stagnation detection on, a repeated joint configuration proves
-    the run would loop forever and the outcome is II-survives; with it
-    off, the run simply stops at ``max_rounds`` as a cutoff (a cutoff is
-    flagged, never treated as a loss).
+    A repeated joint configuration (both states, the covered set and the
+    last reply) proves the run would loop forever, and the outcome is
+    II-survives.  A run that neither wins nor repeats stops after
+    ``max_rounds`` (by default 4 * points * opens) as a cutoff; a cutoff
+    is flagged, never treated as a loss.
     """
     if space.point_count == 0:
         raise EmptySpace("the game needs at least one point")
@@ -586,12 +540,11 @@ def play(
             outcome = "I-wins"
             break
         last_b = b
-        if detect_stagnation:
-            config = (st_i, st_ii, covered, b)
-            if config in seen:
-                outcome = "II-survives"
-                break
-            seen.add(config)
+        config = (st_i, st_ii, covered, b)
+        if config in seen:
+            outcome = "II-survives"
+            break
+        seen.add(config)
     return Transcript(rounds=tuple(rounds), covered=tuple(covered_log), outcome=outcome)
 
 
@@ -603,11 +556,10 @@ def seq_witness_strategies(space: FiniteSpace) -> list[WitnessStrategy]:
     return [WitnessStrategy(space, complement=False), WitnessStrategy(space, complement=True)]
 
 
-def _reachable_emissions(
-    space: FiniteSpace, strategy: Strategy, feed: tuple[int, ...], state_limit: int = 100_000
-) -> set[int]:
+def _reachable_emissions(space: FiniteSpace, strategy: Strategy, feed: tuple[int, ...]) -> set[int]:
     """Every move the strategy can emit when fed finite histories of the
-    given sets, computed by walking the transducer's reachable states."""
+    given sets, computed by walking the transducer's reachable states;
+    raises StateOverflow past ``CLOSURE_STATE_LIMIT`` states."""
     emissions: set[int] = set()
     move0, st0 = strategy.step(strategy.initial_state(), None)
     _check_i_move(space, move0)
@@ -622,8 +574,10 @@ def _reachable_emissions(
             emissions.add(move)
             if st2 not in seen:
                 seen.add(st2)
-                if len(seen) > state_limit:
-                    raise StateOverflow("strategy closure exceeded %d states" % state_limit)
+                if len(seen) > CLOSURE_STATE_LIMIT:
+                    raise StateOverflow(
+                        "strategy closure exceeded %d states" % CLOSURE_STATE_LIMIT
+                    )
                 frontier.append(st2)
     return emissions
 

@@ -12,9 +12,19 @@ from typing import Any
 
 from .errors import NotDirected
 from .families import OpenFamily, Quotient
-from .game import GameSolution, Strategy, Transcript
+from .game import (
+    GameSolution,
+    HybridClopenStrategy,
+    PositionalStrategy,
+    RoundRobinStrategy,
+    Strategy,
+    TableStrategy,
+    Transcript,
+    UnionStrategy,
+    WitnessStrategy,
+)
 from .spaces import FiniteSpace, SpaceMap, bits_of, mask_of
-from .systems import DirectedPoset, InverseSystem
+from .systems import DirectedPoset, InverseSystem, LimitRoundRobin
 
 __all__ = [
     "dumps",
@@ -204,55 +214,53 @@ def encode_transcript(t: Transcript) -> dict:
     }
 
 
+def _win_table(table: dict[int, tuple[str, int | None]]) -> list[dict]:
+    return [
+        {
+            "covered": mask_to_list(c),
+            "status": status,
+            "move": None if move is None else mask_to_list(move),
+        }
+        for c, (status, move) in sorted(table.items())
+    ]
+
+
 def encode_solution(sol: GameSolution) -> dict:
-    return {
-        "winner": sol.winner,
-        "win_table": [
-            {
-                "covered": mask_to_list(c),
-                "status": status,
-                "move": None if move is None else mask_to_list(move),
-            }
-            for c, (status, move) in sorted(sol.table.items())
-        ],
-    }
-
-
-def _masks_to_lists(value):
-    if isinstance(value, dict):
-        return {k: _masks_to_lists(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_masks_to_lists(v) for v in value]
-    return value
+    return {"winner": sol.winner, "win_table": _win_table(sol.table)}
 
 
 def encode_strategy(strategy: Strategy) -> dict:
-    desc = strategy.descriptor()
-    out = {}
-    for key, value in desc.items():
-        if key in ("moves", "atoms"):
-            out[key] = [mask_to_list(m) for m in value]
-        elif key == "default":
-            out[key] = mask_to_list(value)
-        elif key == "table" and desc.get("kind") == "positional":
-            out[key] = [
-                {
-                    "covered": mask_to_list(row["covered"]),
-                    "status": row["status"],
-                    "move": None if row["move"] is None else mask_to_list(row["move"]),
-                }
-                for row in value
-            ]
-        elif key == "table" and desc.get("kind") == "table":
-            out[key] = [
-                {
-                    "state": row["state"],
-                    "observed": None if row["observed"] is None else mask_to_list(row["observed"]),
-                    "move": mask_to_list(row["move"]),
-                    "next": row["next"],
-                }
-                for row in value
-            ]
-        else:
-            out[key] = _masks_to_lists(value)
+    """The strategy's kind and player, plus the fields that fix its moves;
+    sets are point lists and a transducer table is sorted by state, then
+    by observed set with None first."""
+    out = {"kind": strategy.kind, "player": strategy.player}
+    if isinstance(strategy, PositionalStrategy):
+        out["table"] = _win_table(strategy.table)
+    elif isinstance(strategy, LimitRoundRobin):
+        out["moves"] = [mask_to_list(m) for m in strategy.moves]
+        out["chain"] = list(strategy.chain)
+    elif isinstance(strategy, RoundRobinStrategy):
+        out["moves"] = [mask_to_list(m) for m in strategy.moves]
+    elif isinstance(strategy, WitnessStrategy):
+        out["variant"] = "complement" if strategy.complement else "identity"
+        out["default"] = mask_to_list(strategy.default)
+    elif isinstance(strategy, UnionStrategy):
+        out["default"] = mask_to_list(strategy.default)
+    elif isinstance(strategy, HybridClopenStrategy):
+        out["atoms"] = [mask_to_list(m) for m in strategy.atoms]
+    elif isinstance(strategy, TableStrategy):
+        out["init"] = strategy.init
+        rows = sorted(
+            strategy.table.items(),
+            key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1]),
+        )
+        out["table"] = [
+            {
+                "state": s,
+                "observed": None if o is None else mask_to_list(o),
+                "move": mask_to_list(m),
+                "next": t,
+            }
+            for (s, o), (m, t) in rows
+        ]
     return out

@@ -14,7 +14,6 @@ from .systems import DirectedPoset, InverseSystem
 
 __all__ = [
     "rng_for",
-    "random_preorder_rows",
     "random_space",
     "random_space_subbasis",
     "random_family",
@@ -28,21 +27,16 @@ def rng_for(seed: int, tag: str) -> random.Random:
     return random.Random("%d|%s" % (seed, tag))
 
 
-def random_preorder_rows(rng: random.Random, n: int, density: float = 0.35) -> tuple[int, ...]:
-    rows = [1 << i for i in range(n)]
+def random_space(rng: random.Random, n: int) -> FiniteSpace:
+    """The space of a random relation: each point i is below each other
+    point j with probability 0.35, drawn in (i, j) order;
+    ``from_preorder`` closes it."""
+    rows = [0] * n
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < density:
+            if i != j and rng.random() < 0.35:
                 rows[i] |= 1 << j
-    for k in range(n):
-        for i in range(n):
-            if (rows[i] >> k) & 1:
-                rows[i] |= rows[k]
-    return tuple(rows)
-
-
-def random_space(rng: random.Random, n: int) -> FiniteSpace:
-    return FiniteSpace.from_preorder(random_preorder_rows(rng, n))
+    return FiniteSpace.from_preorder(rows)
 
 
 def random_space_subbasis(rng: random.Random, n: int, generators: int | None = None) -> FiniteSpace:

@@ -186,10 +186,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
             seq_b = seq_family_bruteforce(space, fam).members
             rep.check(seq_a == seq_b, "seq_closed_form_vs_search", tag)
             if seq_a and fam.members:
-                u = 0
-                for m in fam.members:
-                    u |= m
-                rep.check(u == space.full, "seq_nonempty_forces_cover", tag)
+                rep.check(fam.union_mask() == space.full, "seq_nonempty_forces_cover", tag)
 
             inside_seq = fam.members <= seq_a
             if inside_seq and fam.is_ring():
@@ -286,7 +283,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
                     )
                 if skel:
                     for v in cod.opens:
-                        if cod.is_dense(v) and cod.is_open(v):
+                        if cod.is_dense(v):
                             rep.check(
                                 dom.is_dense(m.preimage_of(v)),
                                 "skeletal_dense_preimage",
@@ -450,7 +447,7 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
                 rep.check(
                     won,
                     "solver_beats_small_transducers",
-                    None if won else [tag, states, opp.descriptor()["table"][:4]],
+                    None if won else [tag, states, jsonio.encode_strategy(opp)["table"][:4]],
                 )
     rep.counts["opponents_played"] = vs_count
     return rep
@@ -558,16 +555,9 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
         if emb.vacuous_for_clopen_base:
             vacuous += 1
         # sigma-completeness along every chain in the (small) poset
-        poset = famsys.system.poset
-        for a in range(poset.n):
-            for b in range(poset.n):
-                if poset.le(a, b):
-                    sig = check_sigma_completeness(famsys.system, [a, b])
-                    rep.check(
-                        sig.ok,
-                        "sigma_complete_on_chains",
-                        [tag, [a, b]],
-                    )
+        for a, b in famsys.system.poset.pairs():
+            sig = check_sigma_completeness(famsys.system, [a, b])
+            rep.check(sig.ok, "sigma_complete_on_chains", [tag, [a, b]])
     rep.counts["club_embeddings"] = embeddings
     rep.counts["club_embeddings_homeomorphic"] = homeos
     rep.counts["club_embeddings_vacuous_for_clopen_base"] = vacuous
@@ -595,12 +585,9 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
                 "family_system_embedding_homeomorphism",
                 tag,
             )
-        poset = famsys.system.poset
-        for a in range(poset.n):
-            for b in range(poset.n):
-                if poset.le(a, b):
-                    sig = check_sigma_completeness(famsys.system, [a, b])
-                    rep.check(sig.ok, "family_system_sigma_chains", tag + [[a, b]])
+        for a, b in famsys.system.poset.pairs():
+            sig = check_sigma_completeness(famsys.system, [a, b])
+            rep.check(sig.ok, "family_system_sigma_chains", tag + [[a, b]])
     rep.counts["directed_family_systems"] = dir_count
     return rep
 

@@ -447,12 +447,6 @@ class LimitRoundRobin(RoundRobinStrategy):
         super().__init__(space, moves)
         self.chain = chain
 
-    def descriptor(self) -> dict:
-        base = super().descriptor()
-        base["kind"] = self.kind
-        base["chain"] = list(self.chain)
-        return base
-
 
 @dataclass(frozen=True)
 class SigmaReport:

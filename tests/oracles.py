@@ -4,8 +4,8 @@ Everything here recomputes a result by a different route than the library
 takes, so agreement means something.  Keep these dumb and direct.
 """
 
-from topolab.errors import EmptySpace, NotDirected
-from topolab.game import GameSolution
+from topolab.errors import EmptySpace, NotDirected, StateOverflow
+from topolab.game import GameSolution, PlayTrace, Strategy, VerifyResult
 from topolab.spaces import FiniteSpace, SeparationReport, SpaceMap, bits_of
 
 
@@ -428,3 +428,87 @@ def commutation_witness_by_compose(sys):
             if poset.le(j, k) and sys.bond(i, j).compose(sys.bond(j, k)) != sys.bond(i, k):
                 return "bonds do not commute along %d<=%d<=%d" % (i, j, k)
     return None
+
+
+def verify_by_colors(
+    space: FiniteSpace, strategy: Strategy, node_limit: int = 500_000
+) -> VerifyResult:
+    """``verify_winning`` as it first shipped, kept verbatim: an
+    iterative DFS that colours nodes GRAY while on the path and BLACK when
+    done, with ``path_index`` for the lasso and an ``advanced`` flag.
+    The library's verifier must agree on (winning, counterexample,
+    nodes_explored).
+
+    Exact adversarial check of a Player I strategy.
+
+    Explores the product of strategy states and covered sets over every
+    legal reply.  Covered sets only grow, so any reachable cycle keeps a
+    non-dense covered set forever and witnesses a way to survive; absence
+    of cycles means every play reaches density.  Returns a concrete
+    opposing play on failure.
+    """
+    if space.point_count == 0:
+        return VerifyResult(True, None, 0)
+    moves = space.nonempty_opens()
+    replies_cache: dict[int, tuple[int, ...]] = {}
+
+    def replies(a: int) -> tuple[int, ...]:
+        got = replies_cache.get(a)
+        if got is None:
+            got = tuple(b for b in moves if b & ~a == 0)
+            replies_cache[a] = got
+        return got
+
+    move0, st0 = strategy.step(strategy.initial_state(), None)
+    if not move0 or not space.is_open(move0):
+        return VerifyResult(False, PlayTrace(rounds=(), loop_start=None), 0)
+
+    root = (st0, move0, 0)
+    color: dict = {}
+    nodes = 0
+    # iterative DFS; each frame is (node, reply iterator, rounds so far)
+    GRAY, BLACK = 1, 2
+    path_rounds: list[tuple[int, int]] = []
+    path_index: dict = {}
+    stack = [(root, iter(replies(move0)))]
+    color[root] = GRAY
+    path_index[root] = 0
+    while stack:
+        node, it = stack[-1]
+        st, a, covered = node
+        advanced = False
+        for b in it:
+            nodes += 1
+            if nodes > node_limit:
+                raise StateOverflow("verification exceeded %d nodes" % node_limit)
+            cov2 = covered | b
+            if space.is_dense(cov2):
+                continue
+            move2, st2 = strategy.step(st, b)
+            if not move2 or not space.is_open(move2):
+                rounds = tuple(path_rounds) + ((a, b),)
+                return VerifyResult(False, PlayTrace(rounds=rounds, loop_start=None), nodes)
+            child = (st2, move2, cov2)
+            c = color.get(child)
+            if c == GRAY:
+                rounds = tuple(path_rounds) + ((a, b),)
+                return VerifyResult(
+                    False,
+                    PlayTrace(rounds=rounds, loop_start=path_index[child]),
+                    nodes,
+                )
+            if c == BLACK:
+                continue
+            color[child] = GRAY
+            path_rounds.append((a, b))
+            path_index[child] = len(path_rounds)
+            stack.append((child, iter(replies(move2))))
+            advanced = True
+            break
+        if not advanced:
+            color[node] = BLACK
+            stack.pop()
+            if path_rounds:
+                path_rounds.pop()
+            path_index.pop(node, None)
+    return VerifyResult(True, None, nodes)

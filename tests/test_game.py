@@ -28,7 +28,7 @@ from topolab.game import (
 from topolab.randgen import random_clopen_seed, random_family, random_space, rng_for
 from topolab.spaces import FiniteSpace
 
-from oracles import solve_by_full_scan
+from oracles import solve_by_full_scan, verify_by_colors
 
 SIERP = FiniteSpace.sierpinski()
 D2 = FiniteSpace.discrete(2)
@@ -98,6 +98,20 @@ def test_verify_rejects_bad_strategy():
     assert not D2.is_dense(covered)
 
 
+def test_verify_agrees_with_the_colouring_search():
+    # same verdict, same lasso and the same node count as the GRAY/BLACK
+    # search, for winning and losing strategies on every space up to 4 points;
+    # of these strategies only the last reaches a finished node again, so
+    # only it exercises the done set
+    for space in all_spaces(4, min_points=1):
+        strategies = [solve_open_open(space).strategy, minimal_open_strategy(space)]
+        strategies += [RoundRobinStrategy(space, [a]) for a in space.nonempty_opens()]
+        strategies.append(RoundRobinStrategy(space, space.nonempty_opens()[::-1]))
+        for strat in strategies:
+            # VerifyResult compares (winning, counterexample, nodes_explored)
+            assert verify_winning(space, strat) == verify_by_colors(space, strat)
+
+
 def test_verify_monotone_covered_in_every_cycle():
     # any reported lasso must keep covered constant from loop start on
     for space in all_spaces(3, min_points=1):
@@ -147,7 +161,9 @@ def test_play_examples():
     stubborn = RoundRobinStrategy(D2, [0b01])
     t2 = play(D2, stubborn, EchoStrategy())
     assert t2.outcome == "II-survives" and t2.covered[-1] == 0b01
-    t3 = play(D2, stubborn, EchoStrategy(), max_rounds=10, detect_stagnation=False)
+    # ten copies of the move give ten states, so no configuration repeats
+    slow = RoundRobinStrategy(D2, [0b01] * 10)
+    t3 = play(D2, slow, EchoStrategy(), max_rounds=10)
     assert t3.outcome == "cutoff" and len(t3.rounds) == 10 and t3.covered[-1] == 0b01
 
 

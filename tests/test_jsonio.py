@@ -249,3 +249,90 @@ def test_huge_member_index_rejected_without_allocating():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("rejected: each member must be a list of points")
+
+
+def test_strategy_and_solution_encodings_golden():
+    from topolab.game import (
+        EchoStrategy,
+        HistoryStrategy,
+        HybridClopenStrategy,
+        LeastReplyStrategy,
+        MinimalReplyStrategy,
+        RoundRobinStrategy,
+        TableStrategy,
+        UnionStrategy,
+        seq_witness_strategies,
+    )
+    from topolab.systems import LimitRoundRobin
+
+    sierp, d2, c3 = FiniteSpace.sierpinski(), FiniteSpace.discrete(2), FiniteSpace.chain(3)
+    # clopen atoms {0} and {1,2}; {1} is open but not closed
+    atoms = FiniteSpace(3, [0, 0b001, 0b010, 0b011, 0b110, 0b111])
+    identity, complement = seq_witness_strategies(d2)
+    table = TableStrategy(
+        "II", 1, {(1, 0b11): (0b01, 0), (0, None): (0b10, 1), (0, 0b01): (0b01, 1)}
+    )
+    sierp_table = [
+        {"covered": [], "status": "win", "move": [1]},
+        {"covered": [1], "status": "dense", "move": None},
+        {"covered": [0, 1], "status": "dense", "move": None},
+    ]
+    cases = [
+        (
+            solve_open_open(sierp).strategy,
+            {"kind": "positional", "player": "I", "table": sierp_table},
+        ),
+        (
+            RoundRobinStrategy(c3, [0b001, 0b011]),
+            {"kind": "round_robin", "player": "I", "moves": [[0], [0, 1]]},
+        ),
+        (
+            LimitRoundRobin(d2, [0b01, 0b10], (0, 1)),
+            {"kind": "limit_round_robin", "player": "I", "moves": [[0], [1]], "chain": [0, 1]},
+        ),
+        (identity, {"kind": "witness", "player": "I", "variant": "identity", "default": [0]}),
+        (
+            complement,
+            {"kind": "witness", "player": "I", "variant": "complement", "default": [0]},
+        ),
+        (UnionStrategy(c3), {"kind": "union", "player": "I", "default": [0, 1, 2]}),
+        (
+            HybridClopenStrategy(atoms, solve_open_open(atoms)),
+            {"kind": "hybrid_clopen", "player": "I", "atoms": [[0], [1, 2]]},
+        ),
+        (
+            table,
+            {
+                "kind": "table",
+                "player": "II",
+                "init": 1,
+                "table": [
+                    {"state": 0, "observed": None, "move": [1], "next": 1},
+                    {"state": 0, "observed": [0], "move": [0], "next": 1},
+                    {"state": 1, "observed": [0, 1], "move": [0], "next": 0},
+                ],
+            },
+        ),
+        (EchoStrategy(), {"kind": "echo", "player": "II"}),
+        (LeastReplyStrategy(sierp), {"kind": "least", "player": "II"}),
+        (MinimalReplyStrategy(sierp), {"kind": "minimal", "player": "II"}),
+        (HistoryStrategy(lambda h: 1), {"kind": "history", "player": "I"}),
+    ]
+    for strategy, expected in cases:
+        assert jsonio.dumps(jsonio.encode_strategy(strategy)) == jsonio.dumps(expected)
+
+    assert jsonio.encode_solution(solve_open_open(sierp)) == {
+        "winner": "I",
+        "win_table": sierp_table,
+    }
+    assert jsonio.encode_solution(solve_open_open(atoms)) == {
+        "winner": "I",
+        "win_table": [
+            {"covered": [], "status": "win", "move": [0]},
+            {"covered": [0], "status": "win", "move": [1]},
+            {"covered": [1], "status": "win", "move": [0]},
+            {"covered": [0, 1], "status": "dense", "move": None},
+            {"covered": [1, 2], "status": "win", "move": [0]},
+            {"covered": [0, 1, 2], "status": "dense", "move": None},
+        ],
+    }

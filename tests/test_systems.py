@@ -10,6 +10,7 @@ from topolab.errors import (
     NotDirected,
 )
 from topolab.game import build_tclub_member, verify_winning
+from topolab.jsonio import encode_strategy
 from topolab.randgen import random_quotient_chain, random_union_closed_families, random_space, rng_for
 from topolab.spaces import FiniteSpace, SpaceMap
 from topolab.systems import (
@@ -419,7 +420,7 @@ def test_limit_strategy_examples():
     pairing = two_node_system(D2, D4, [0, 0, 1, 1])
     strat2 = limit_strategy(limit_space(pairing))
     assert verify_winning(limit_space(pairing).space, strat2).winning
-    assert strat2.descriptor()["kind"] == "limit_round_robin"
+    assert encode_strategy(strat2)["kind"] == "limit_round_robin"
 
 
 def test_limit_strategy_requires_skeletal_bonds():
