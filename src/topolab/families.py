@@ -4,6 +4,11 @@ The key construction: a family P of opens identifies points that belong to
 exactly the same members, and the images of members generate a topology on
 the classes.  Alongside live the sequence-closure operator (the finite
 shadow of cozero behaviour), ring closure, and skeletal-family checking.
+
+A family carries its space, and ``OpenFamily`` checks its members once,
+when it is built; every function here reads ``family.space``.  Only
+``build_quotient`` (and ``systems.system_from_families``) take a space and
+raw masks, and each builds the family exactly once.
 """
 
 from __future__ import annotations
@@ -74,7 +79,7 @@ class OpenFamily:
         return iter(self.sorted_members)
 
 
-def classes_of(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> tuple[int, ...]:
+def classes_of(family: OpenFamily) -> tuple[int, ...]:
     """Partition of the points by equal membership across the family.
 
     Starts from the one block of all points (none on the empty space) and
@@ -83,8 +88,9 @@ def classes_of(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> tuple[
     order of their lowest point, which is the order of first occurrence
     while scanning points ascending.
     """
+    space = family.space
     blocks = [space.full] if space.point_count else []
-    for m in _member_masks(space, family):
+    for m in family.members:
         split = []
         for c in blocks:
             inside = c & m
@@ -116,17 +122,12 @@ class Quotient:
     q_continuous: bool
     image_is_base: bool
 
-    def image_of(self, mask: int) -> int:
-        return self.map.image_of(mask)
 
-    def preimage_of(self, class_mask: int) -> int:
-        return self.map.preimage_of(class_mask)
-
-
-def build_quotient(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> Quotient:
-    fam = family if isinstance(family, OpenFamily) else OpenFamily.of(space, family)
+def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
+    """Quotient of ``space`` by the family of the open masks ``members``."""
+    fam = OpenFamily.of(space, members)
     members = fam.members
-    classes = classes_of(space, fam)
+    classes = classes_of(fam)
     assign = [0] * space.point_count
     for idx, c in enumerate(classes):
         for x in bits_of(c):
@@ -160,7 +161,7 @@ def build_quotient(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> Qu
     )
 
 
-def seq_family(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> OpenFamily:
+def seq_family(family: OpenFamily) -> OpenFamily:
     """Members expressible as an increasing union interleaved with
     complements of members.
 
@@ -170,12 +171,12 @@ def seq_family(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> OpenFa
     witness sequences directly; the two must agree and the test suites
     check that they do.
     """
-    members = set(_member_masks(space, family))
-    full = space.full
-    return OpenFamily.of(space, (w for w in members if (full ^ w) in members))
+    members = family.members
+    full = family.space.full
+    return OpenFamily.of(family.space, (w for w in members if (full ^ w) in members))
 
 
-def seq_family_bruteforce(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> OpenFamily:
+def seq_family_bruteforce(family: OpenFamily) -> OpenFamily:
     """Bounded search for witness sequences, kept independent of the
     closed form.
 
@@ -186,8 +187,8 @@ def seq_family_bruteforce(space: FiniteSpace, family: OpenFamily | Iterable[int]
     equal to W (the run can then repeat W, V forever), and the union of
     such a run is W.
     """
-    members = sorted(set(_member_masks(space, family)))
-    full = space.full
+    members = family.sorted_members
+    full = family.space.full
     member_set = set(members)
     closers = {full ^ v for v in members} & member_set
     # forward reachability along the sandwich relation, from every member
@@ -203,7 +204,7 @@ def seq_family_bruteforce(space: FiniteSpace, family: OpenFamily | Iterable[int]
                 if between & ~u2 == 0 and u2 not in reached:
                     reached.add(u2)
                     frontier.append(u2)
-    return OpenFamily.of(space, (w for w in reached if w in closers))
+    return OpenFamily.of(family.space, (w for w in reached if w in closers))
 
 
 def ring_closure(family: OpenFamily) -> OpenFamily:
@@ -222,9 +223,7 @@ def ring_closure(family: OpenFamily) -> OpenFamily:
         current |= new
 
 
-def is_skeletal_family(
-    space: FiniteSpace, family: OpenFamily | Iterable[int]
-) -> tuple[bool, int | None]:
+def is_skeletal_family(family: OpenFamily) -> tuple[bool, int | None]:
     """Skeletal-family test; empty members are ignored.
 
     Holds when every nonempty open V admits a member W such that every
@@ -232,8 +231,8 @@ def is_skeletal_family(
     without such a W.  A subset of a failing V fails too, and every
     nonempty open contains a row no larger than itself, so that V is a row.
     """
-    members = [m for m in _member_masks(space, family) if m]
-    for v in sorted(set(space.rows)):
+    members = [m for m in family.members if m]
+    for v in sorted(set(family.space.rows)):
         good = False
         for w in members:
             if all(u & v for u in members if u & ~w == 0):
@@ -259,17 +258,3 @@ def family_from_map(space_map: SpaceMap, pibase: Iterable[int]) -> OpenFamily:
             raise NotAPiBase("open %r contains no pi-base member" % o)
     return OpenFamily.of(space_map.domain, (space_map.preimage_of(v) for v in members))
 
-
-# -- helpers -----------------------------------------------------------
-
-
-def _member_masks(space: FiniteSpace, family: OpenFamily | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(family, OpenFamily):
-        if family.space != space:
-            raise ValueError("family belongs to a different space")
-        return family.sorted_members
-    masks = sorted({int(m) for m in family})
-    for m in masks:
-        if not space.is_open(m):
-            raise ValueError("family member %r is not open" % m)
-    return tuple(masks)

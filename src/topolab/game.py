@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import EmptySpace, IllegalMove, NotClopen, StateOverflow
-from .families import OpenFamily, _member_masks, ring_closure, is_skeletal_family
+from .families import OpenFamily, ring_closure, is_skeletal_family
 from .spaces import FiniteSpace
 
 __all__ = [
@@ -582,11 +582,7 @@ def _reachable_emissions(space: FiniteSpace, strategy: Strategy, feed: tuple[int
     return emissions
 
 
-def closure_under_strategies(
-    space: FiniteSpace,
-    seed: OpenFamily | Iterable[int],
-    strategies: Iterable[Strategy],
-) -> OpenFamily:
+def closure_under_strategies(seed: OpenFamily, strategies: Iterable[Strategy]) -> OpenFamily:
     """Least family containing the seed, every strategy's first move, and
     every move any strategy emits on tuples of current members.
 
@@ -595,8 +591,9 @@ def closure_under_strategies(
     length, and the family lives inside the finite powerset, so the
     fixpoint terminates.
     """
+    space = seed.space
     strategies = list(strategies)
-    family = {m for m in _member_masks(space, seed) if m}
+    family = {m for m in seed.members if m}
     while True:
         feed = tuple(sorted(family))
         new: set[int] = set()
@@ -608,7 +605,7 @@ def closure_under_strategies(
         family |= new
 
 
-def build_tclub_member(space: FiniteSpace, seed: OpenFamily | Iterable[int]) -> OpenFamily:
+def build_tclub_member(seed: OpenFamily) -> OpenFamily:
     """Close a clopen seed into a club family.
 
     The closure runs under a winning strategy that answers clopen
@@ -619,12 +616,11 @@ def build_tclub_member(space: FiniteSpace, seed: OpenFamily | Iterable[int]) -> 
     winning strategy; those are exactly the hypotheses under which the
     quotient by the family has a skeletal class map.
     """
+    space = seed.space
     if space.point_count == 0:
         raise EmptySpace("club families need a nonempty space")
-    # The clopen test below covers openness of a plain seed.
-    masks = _member_masks(space, seed) if isinstance(seed, OpenFamily) else {int(m) for m in seed}
     clopen = set(space.clopens())
-    for m in masks:
+    for m in seed.sorted_members:
         if m not in clopen:
             raise NotClopen("seed member %r is not clopen" % m)
     solution = solve_open_open(space)
@@ -632,19 +628,17 @@ def build_tclub_member(space: FiniteSpace, seed: OpenFamily | Iterable[int]) -> 
     strategies += seq_witness_strategies(space)
     strategies.append(UnionStrategy(space))
 
-    current = frozenset(m for m in masks if m)
+    # The closure drops empty members, so a round is stable once it adds
+    # no nonempty one.
+    current = seed
     while True:
-        closed = closure_under_strategies(space, current, strategies).members
-        ringed = ring_closure(OpenFamily.of(space, closed)).members | {0}
-        nonempty = frozenset(m for m in ringed if m)
-        if nonempty == current:
-            return OpenFamily.of(space, ringed)
-        current = nonempty
+        ringed = ring_closure(closure_under_strategies(current, strategies))
+        if ringed.members | {0} == current.members | {0}:
+            return OpenFamily.of(space, ringed.members | {0})
+        current = ringed
 
 
-def check_condition_S(
-    space: FiniteSpace, family: OpenFamily | Iterable[int]
-) -> tuple[bool, int | None]:
+def check_condition_S(family: OpenFamily) -> tuple[bool, int | None]:
     """Per-family clause of the club filter: for every nonempty open V
     some member W traps all nonempty members inside it into meeting V.
 
@@ -652,7 +646,7 @@ def check_condition_S(
     kept as its own name because families closed under a winning strategy
     must satisfy it.
     """
-    return is_skeletal_family(space, family)
+    return is_skeletal_family(family)
 
 
 # -- opponent enumeration ------------------------------------------------

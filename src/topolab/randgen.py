@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .families import OpenFamily
-from .spaces import FiniteSpace, SpaceMap, bits_of
+from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis
 from .systems import DirectedPoset, InverseSystem
 
 __all__ = [
@@ -40,8 +40,6 @@ def random_space(rng: random.Random, n: int) -> FiniteSpace:
 
 
 def random_space_subbasis(rng: random.Random, n: int, generators: int | None = None) -> FiniteSpace:
-    from .spaces import from_subbasis
-
     if generators is None:
         generators = rng.randint(0, n + 1)
     full = (1 << n) - 1

@@ -174,16 +174,16 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
         stag = _space_tag(space)
         for members in _families_over(space):
             tag = [stag, sorted(members)]
-            fam = OpenFamily.of(space, members)
-            q = build_quotient(space, fam)
+            q = build_quotient(space, members)
+            fam = q.family
             rep.check(q.identity_holds, "q_preimage_identity", tag)
             if fam.is_intersection_closed():
                 rep.check(q.q_continuous, "meet_closed_continuous", tag)
                 if fam.union_mask() == space.full:
                     rep.check(q.image_is_base, "meet_closed_cover_base", tag)
 
-            seq_a = seq_family(space, fam).members
-            seq_b = seq_family_bruteforce(space, fam).members
+            seq_a = seq_family(fam).members
+            seq_b = seq_family_bruteforce(fam).members
             rep.check(seq_a == seq_b, "seq_closed_form_vs_search", tag)
             if seq_a and fam.members:
                 rep.check(fam.union_mask() == space.full, "seq_nonempty_forces_cover", tag)
@@ -233,7 +233,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
             "t0_reflection_classes",
             tag,
         )
-        quotient_kind = {q.image_of(o) for o in space.opens}
+        quotient_kind = {q.map.image_of(o) for o in space.opens}
         rep.check(
             quotient_kind == set(q.quotient_space.opens),
             "t0_reflection_opens_are_images",
@@ -251,8 +251,8 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
         n = 4 + (i % 2)
         space = random_space(rng, n)
         fam = random_family(rng, space)
-        a = seq_family(space, fam).members
-        b = seq_family_bruteforce(space, fam).members
+        a = seq_family(fam).members
+        b = seq_family_bruteforce(fam).members
         rep.check(a == b, "seq_closed_form_vs_search_random", [i, _space_tag(space), sorted(fam.members)])
     rep.counts["seq_random_samples"] = samples
 
@@ -275,7 +275,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
                 skel = m.is_skeletal()
                 for pibase in _pi_bases(cod):
                     fam = family_from_map(m, pibase)
-                    ok, _ = is_skeletal_family(dom, fam)
+                    ok, _ = is_skeletal_family(fam)
                     rep.check(
                         ok == skel,
                         "skeletal_family_iff_map",
@@ -391,17 +391,17 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
         n = 1 + (i % max_points)
         space = random_space(rng, n)
         q0 = random_clopen_seed(rng, space)
-        fam = build_tclub_member(space, q0)
+        fam = build_tclub_member(q0)
         tag = [i, _space_tag(space), sorted(q0.members)]
-        ok_s, wit = check_condition_S(space, fam)
+        ok_s, wit = check_condition_S(fam)
         rep.check(ok_s, "tclub_condition_S", tag + [wit])
         rep.check(fam.is_ring(), "tclub_is_ring", tag)
         rep.check(
-            fam.members <= seq_family(space, fam).members,
+            fam.members <= seq_family(fam).members,
             "tclub_inside_seq",
             tag,
         )
-        quot = build_quotient(space, fam)
+        quot = build_quotient(space, fam.members)
         rep.check(quot.map.is_skeletal(), "tclub_quotient_skeletal", tag)
         rep.check(
             quot.quotient_space.separation_flags().completely_regular,
@@ -418,8 +418,8 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
         space = random_space(rng2, n)
         seed_fam = random_family(rng2, space, rng2.randint(0, 3))
         sol = solve_open_open(space)
-        fam = closure_under_strategies(space, seed_fam, [sol.strategy])
-        ok_s, wit = check_condition_S(space, fam)
+        fam = closure_under_strategies(seed_fam, [sol.strategy])
+        ok_s, wit = check_condition_S(fam)
         rep.check(
             ok_s,
             "winning_closure_condition_S",
@@ -431,10 +431,10 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
     vs_count = 0
     for space in all_spaces(min(3, max_points), min_points=1):
         tag = _space_tag(space)
+        sol = solve_open_open(space)
         for states in (1, 2):
             if count_ii_strategies(space, states) > 3000:
                 continue
-            sol = solve_open_open(space)
             for opp in enumerate_ii_strategies(space, states):
                 t = play(space, sol.strategy, opp)
                 progress = sum(
@@ -512,10 +512,8 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
     vacuous = 0
     for space in all_spaces(max_points, min_points=1):
         tag = _space_tag(space)
-        seeds = [frozenset()] + [frozenset([c]) for c in space.clopens() if c]
-        members = []
-        for s in seeds:
-            members.append(build_tclub_member(space, s))
+        seeds = [()] + [(c,) for c in space.clopens() if c]
+        members = [build_tclub_member(OpenFamily.of(space, s)) for s in seeds]
         famsys = system_from_families(space, members)
         for q in famsys.quotients:
             rep.check(

@@ -294,26 +294,19 @@ class FamilySystem:
     system: InverseSystem
 
 
-def system_from_families(
-    space: FiniteSpace, collection: Iterable[OpenFamily | Iterable[int]]
-) -> FamilySystem:
+def system_from_families(space: FiniteSpace, collection: Iterable[Iterable[int]]) -> FamilySystem:
     """Quotient space per family, bonds collapsing finer classes onto
-    coarser ones.  The collection must be directed by inclusion."""
-    fams: dict[frozenset[int], OpenFamily] = {}
-    for entry in collection:
-        if not isinstance(entry, OpenFamily):
-            entry = OpenFamily.of(space, entry)
-        elif entry.space != space:
-            raise ValueError("family belongs to a different space")
-        fams.setdefault(entry.members, entry)
-    families = tuple(sorted(fams.values(), key=lambda f: (len(f), f.sorted_members)))
+    coarser ones.  Each entry of ``collection`` is a family given by its
+    open masks of ``space``; the collection must be directed by inclusion."""
+    distinct = {frozenset(int(m) for m in entry) for entry in collection}
+    members = sorted(distinct, key=lambda f: (len(f), sorted(f)))
+    quotients = tuple(build_quotient(space, f) for f in members)
+    families = tuple(q.family for q in quotients)
     # The poset raises NotDirected for the first pair with no common superfamily.
-    members = [f.members for f in families]
     poset = DirectedPoset(
         (f.sorted_members for f in families),
         ((i, j) for i, a in enumerate(members) for j, b in enumerate(members) if a <= b),
     )
-    quotients = tuple(build_quotient(space, f) for f in families)
     bonds = {}
     for i, j in poset.pairs():
         if i == j:
@@ -381,7 +374,7 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
         q = famsys.quotients[fi]
         for u in sorted(fam.members):
             lhs = f.image_of(u)
-            rhs = image & proj.preimage_of(q.image_of(u))
+            rhs = image & proj.preimage_of(q.map.image_of(u))
             if lhs != rhs:
                 identity_ok = False
     # Open images are unions of row images, and a part S of the image is
@@ -451,7 +444,7 @@ class LimitRoundRobin(RoundRobinStrategy):
 @dataclass(frozen=True)
 class SigmaReport:
     ok: bool
-    sup: int | None
+    sup: int
     witness: tuple | None
 
 
@@ -462,12 +455,21 @@ def check_sigma_completeness(
 
     The canonical map sends a point of the sup space to the thread of its
     bond images along the chain; the check passes when that map is a
-    homeomorphism.  A finite chain contains its own least upper bound, so
-    with the default sup the check is the degenerate (always-true-for-
-    valid-systems) reading; passing an explicit larger ``sup`` probes the
-    interesting direction, where a designated upper bound may carry a
-    space finer than the chain resolves, and the witness is then a thread
-    with more than one preimage.
+    homeomorphism.  A finite chain's limit is the space at its top node,
+    each point of which fixes one thread, so the canonical map is
+    ``bond(top, sup)`` followed by a homeomorphism.  On a valid system
+    that bond is onto and continuous, so the map is a homeomorphism
+    exactly when the bond is one-to-one and open; no thread can lack a
+    preimage and the map cannot fail continuity.  The witness is
+    ``("thread", t)``, with t the least thread of a top point that two sup
+    points reach, or ``("not_open",)`` for a one-to-one bond that is not
+    open.
+
+    The default sup is the chain's top, its least upper bound, where the
+    check is the degenerate (always-true-for-valid-systems) reading;
+    passing an explicit larger ``sup`` probes the interesting direction,
+    where a designated upper bound may carry a space finer than the chain
+    resolves.
     """
     if not sys.check.ok:
         raise InvalidSystem(sys.check.witness)
@@ -479,47 +481,20 @@ def check_sigma_completeness(
             raise NotAChain("element %r outside the poset" % c)
     if not sys.poset.is_chain(chain):
         raise NotAChain("elements are not pairwise comparable")
-    if sup is None:
-        sup = sys.poset.least_upper_bound(chain)
-        if sup is None:
-            return SigmaReport(False, None, None)
-    elif not all(sys.poset.le(c, sup) for c in chain):
-        raise NotAChain("designated sup is not an upper bound of the chain")
-
     # Lower elements of a chain have larger up-sets.
     chain.sort(key=lambda c: -sys.poset.rows[c].bit_count())
-    sub_poset = DirectedPoset(
-        (sys.poset.labels[c] for c in chain),
-        ((a, b) for a in range(len(chain)) for b in range(a, len(chain))),
-    )
-    sub_bonds = {(a, b): sys.bond(chain[a], chain[b]) for a, b in sub_poset.pairs()}
-    subsystem = InverseSystem(
-        poset=sub_poset,
-        spaces=tuple(sys.spaces[c] for c in chain),
-        bonds=sub_bonds,
-    )
-    sublim = limit_space(subsystem)
-    thread_index = {t: i for i, t in enumerate(sublim.threads)}
-    sup_space = sys.spaces[sup]
-    assign = []
-    for p in range(sup_space.point_count):
-        thread = tuple(sys.bond(c, sup).assign[p] for c in chain)
-        assign.append(thread_index[thread])
-    h = SpaceMap(sup_space, sublim.space, assign)
-    if len(set(assign)) != sup_space.point_count:
-        collided = next(
-            t
-            for t in range(sublim.space.point_count)
-            if assign.count(t) > 1
-        )
-        return SigmaReport(False, sup, ("thread", sublim.threads[collided]))
-    if set(assign) != set(range(sublim.space.point_count)):
-        missing = next(
-            t for t in range(sublim.space.point_count) if t not in set(assign)
-        )
-        return SigmaReport(False, sup, ("thread", sublim.threads[missing]))
-    if not h.is_continuous():
-        return SigmaReport(False, sup, ("not_continuous",))
-    if not h.is_open_map():
+    top = chain[-1]
+    if sup is None:
+        sup = top
+    elif not sys.poset.le(top, sup):
+        raise NotAChain("designated sup is not an upper bound of the chain")
+
+    bond = sys.bond(top, sup)
+    hits = bond.assign
+    if len(set(hits)) < len(hits):
+        bonds = [sys.bond(c, top).assign for c in chain]
+        thread = min(tuple(a[q] for a in bonds) for q in set(hits) if hits.count(q) > 1)
+        return SigmaReport(False, sup, ("thread", thread))
+    if not bond.is_open_map():
         return SigmaReport(False, sup, ("not_open",))
     return SigmaReport(True, sup, None)

@@ -4,9 +4,12 @@ Everything here recomputes a result by a different route than the library
 takes, so agreement means something.  Keep these dumb and direct.
 """
 
-from topolab.errors import EmptySpace, NotDirected, StateOverflow
+from typing import Iterable
+
+from topolab.errors import EmptySpace, InvalidSystem, NotAChain, NotDirected, StateOverflow
 from topolab.game import GameSolution, PlayTrace, Strategy, VerifyResult
 from topolab.spaces import FiniteSpace, SeparationReport, SpaceMap, bits_of
+from topolab.systems import DirectedPoset, InverseSystem, SigmaReport, limit_space
 
 
 def closure_by_closed_scan(space: FiniteSpace, s: int) -> int:
@@ -512,3 +515,78 @@ def verify_by_colors(
                 path_rounds.pop()
             path_index.pop(node, None)
     return VerifyResult(True, None, nodes)
+
+
+def sigma_by_sublimit(
+    sys: InverseSystem, chain: Iterable[int], sup: int | None = None
+) -> SigmaReport:
+    """``check_sigma_completeness`` as it shipped before it read the
+    chain's top bond, kept verbatim below this paragraph: it builds the
+    chain's sub-system, computes that sub-system's limit and tests the
+    canonical map from the sup space onto it.
+
+    Does the space at the supremum match the limit of the chain?
+
+    The canonical map sends a point of the sup space to the thread of its
+    bond images along the chain; the check passes when that map is a
+    homeomorphism.  A finite chain contains its own least upper bound, so
+    with the default sup the check is the degenerate (always-true-for-
+    valid-systems) reading; passing an explicit larger ``sup`` probes the
+    interesting direction, where a designated upper bound may carry a
+    space finer than the chain resolves, and the witness is then a thread
+    with more than one preimage.
+    """
+    if not sys.check.ok:
+        raise InvalidSystem(sys.check.witness)
+    chain = list(dict.fromkeys(chain))
+    if not chain:
+        raise NotAChain("empty chain")
+    for c in chain:
+        if not 0 <= c < sys.poset.n:
+            raise NotAChain("element %r outside the poset" % c)
+    if not sys.poset.is_chain(chain):
+        raise NotAChain("elements are not pairwise comparable")
+    if sup is None:
+        sup = sys.poset.least_upper_bound(chain)
+        if sup is None:
+            return SigmaReport(False, None, None)
+    elif not all(sys.poset.le(c, sup) for c in chain):
+        raise NotAChain("designated sup is not an upper bound of the chain")
+
+    # Lower elements of a chain have larger up-sets.
+    chain.sort(key=lambda c: -sys.poset.rows[c].bit_count())
+    sub_poset = DirectedPoset(
+        (sys.poset.labels[c] for c in chain),
+        ((a, b) for a in range(len(chain)) for b in range(a, len(chain))),
+    )
+    sub_bonds = {(a, b): sys.bond(chain[a], chain[b]) for a, b in sub_poset.pairs()}
+    subsystem = InverseSystem(
+        poset=sub_poset,
+        spaces=tuple(sys.spaces[c] for c in chain),
+        bonds=sub_bonds,
+    )
+    sublim = limit_space(subsystem)
+    thread_index = {t: i for i, t in enumerate(sublim.threads)}
+    sup_space = sys.spaces[sup]
+    assign = []
+    for p in range(sup_space.point_count):
+        thread = tuple(sys.bond(c, sup).assign[p] for c in chain)
+        assign.append(thread_index[thread])
+    h = SpaceMap(sup_space, sublim.space, assign)
+    if len(set(assign)) != sup_space.point_count:
+        collided = next(
+            t
+            for t in range(sublim.space.point_count)
+            if assign.count(t) > 1
+        )
+        return SigmaReport(False, sup, ("thread", sublim.threads[collided]))
+    if set(assign) != set(range(sublim.space.point_count)):
+        missing = next(
+            t for t in range(sublim.space.point_count) if t not in set(assign)
+        )
+        return SigmaReport(False, sup, ("thread", sublim.threads[missing]))
+    if not h.is_continuous():
+        return SigmaReport(False, sup, ("not_continuous",))
+    if not h.is_open_map():
+        return SigmaReport(False, sup, ("not_open",))
+    return SigmaReport(True, sup, None)

@@ -35,15 +35,15 @@ D3 = FiniteSpace.discrete(3)
 
 
 def test_classes_examples():
-    assert classes_of(CHAIN3, [0b001]) == (0b001, 0b110)
-    assert classes_of(CHAIN3, []) == (0b111,)
-    assert classes_of(CHAIN3, [0b001, 0b011]) == (0b001, 0b010, 0b100)
+    assert classes_of(OpenFamily.of(CHAIN3, [0b001])) == (0b001, 0b110)
+    assert classes_of(OpenFamily.of(CHAIN3, [])) == (0b111,)
+    assert classes_of(OpenFamily.of(CHAIN3, [0b001, 0b011])) == (0b001, 0b010, 0b100)
 
 
 def test_classes_match_signatures_exhaustive():
     for space in all_spaces(3):
         for members in every_family(space):
-            assert classes_of(space, members) == classes_by_signature(space, members)
+            assert classes_of(OpenFamily.of(space, members)) == classes_by_signature(space, members)
 
 
 def test_classes_match_signatures_random():
@@ -51,7 +51,7 @@ def test_classes_match_signatures_random():
     for _ in range(2000):
         space = random_space(rng, rng.choice([4, 5]))
         fam = random_family(rng, space)
-        assert classes_of(space, fam) == classes_by_signature(space, fam.members), fam
+        assert classes_of(fam) == classes_by_signature(space, fam.members), fam
 
 
 def test_identity_check_catches_merged_classes(monkeypatch):
@@ -59,8 +59,8 @@ def test_identity_check_catches_merged_classes(monkeypatch):
     # fail, so the check reads the built map and is no constant.
     true_classes = families.classes_of
 
-    def merge_first_two(space, family):
-        classes = true_classes(space, family)
+    def merge_first_two(family):
+        classes = true_classes(family)
         if len(classes) < 2:
             return classes
         return (classes[0] | classes[1],) + classes[2:]
@@ -81,7 +81,7 @@ def test_quotient_examples():
 
     q2 = build_quotient(CHAIN3, [0b001])
     assert set(q2.quotient_space.opens) == {0, 0b01, 0b11}
-    assert q2.preimage_of(q2.image_of(0b001)) == 0b001
+    assert q2.map.preimage_of(q2.map.image_of(0b001)) == 0b001
 
 
 def test_quotient_identity_exhaustive():
@@ -107,7 +107,7 @@ def test_image_is_base_against_oracle_exhaustive():
     for space in all_spaces(3):
         for members in every_family(space):
             q = build_quotient(space, members)
-            images = [q.image_of(m) for m in members]
+            images = [q.map.image_of(m) for m in members]
             assert q.quotient_space == subbasis_by_meets_and_unions(len(q.classes), images)
             assert q.image_is_base == base_by_unions_below(q.quotient_space, images)
             seen.add(q.image_is_base)
@@ -125,15 +125,15 @@ def test_quotient_by_all_opens_is_t0_reflection():
 
 
 def test_seq_examples():
-    assert seq_family(D2, D2.opens).members == frozenset(D2.opens)
-    assert seq_family(SIERP, [0, 0b10, 0b11]).members == frozenset({0, 0b11})
-    assert seq_family(SIERP, []).members == frozenset()
+    assert seq_family(OpenFamily.of(D2, D2.opens)).members == frozenset(D2.opens)
+    assert seq_family(OpenFamily.of(SIERP, [0, 0b10, 0b11])).members == frozenset({0, 0b11})
+    assert seq_family(OpenFamily.of(SIERP, [])).members == frozenset()
 
 
 def test_seq_nonempty_forces_cover():
     for space in all_spaces(3):
         for members in every_family(space):
-            if seq_family(space, members).members:
+            if seq_family(OpenFamily.of(space, members)).members:
                 u = 0
                 for m in members:
                     u |= m
@@ -144,8 +144,8 @@ def test_seq_closed_form_equals_bruteforce_exhaustive():
     for space in all_spaces(3):
         for members in every_family(space):
             assert (
-                seq_family(space, members).members
-                == seq_family_bruteforce(space, members).members
+                seq_family(OpenFamily.of(space, members)).members
+                == seq_family_bruteforce(OpenFamily.of(space, members)).members
             )
 
 
@@ -155,7 +155,7 @@ def test_seq_closed_form_equals_bruteforce_random(seed):
     rng = rng_for(seed, "seqtest")
     space = random_space(rng, rng.choice([4, 5]))
     fam = random_family(rng, space)
-    assert seq_family(space, fam).members == seq_family_bruteforce(space, fam).members
+    assert seq_family(fam).members == seq_family_bruteforce(fam).members
 
 
 def test_ring_closure_examples():
@@ -175,7 +175,7 @@ def test_ring_unions_stay_in_seq():
             fam = OpenFamily.of(space, members)
             if not fam.is_ring():
                 continue
-            seq = seq_family(space, fam).members
+            seq = seq_family(fam).members
             if not fam.members <= seq:
                 continue
             unions = set(fam.members)
@@ -191,7 +191,7 @@ def test_seq_quotient_separation_lemmas():
     for space in all_spaces(3):
         for members in every_family(space):
             fam = OpenFamily.of(space, members)
-            seq = seq_family(space, fam).members
+            seq = seq_family(fam).members
             if not fam.members <= seq:
                 continue
             q = build_quotient(space, fam)
@@ -205,11 +205,11 @@ def test_seq_quotient_separation_lemmas():
 
 
 def test_skeletal_family_examples():
-    ok, _ = is_skeletal_family(SIERP, SIERP.nonempty_opens())
+    ok, _ = is_skeletal_family(OpenFamily.of(SIERP, SIERP.nonempty_opens()))
     assert ok
-    ok, witness = is_skeletal_family(D2, [0b10])
+    ok, witness = is_skeletal_family(OpenFamily.of(D2, [0b10]))
     assert not ok and witness == 0b01
-    ok, _ = is_skeletal_family(D2, [0b01, 0b10])
+    ok, _ = is_skeletal_family(OpenFamily.of(D2, [0b01, 0b10]))
     assert ok
 
 
@@ -256,7 +256,7 @@ def test_skeletal_family_iff_skeletal_map_exhaustive():
                 skel = m.is_skeletal()
                 for pibase in pi_bases(cod):
                     fam = family_from_map(m, pibase)
-                    assert is_skeletal_family(dom, fam)[0] == skel
+                    assert is_skeletal_family(fam)[0] == skel
 
 
 def test_skeletal_maps_pull_dense_opens_to_dense():
@@ -277,7 +277,7 @@ def test_skeletal_family_against_opens_scan_exhaustive():
     for space in all_spaces(3):
         for members in every_family(space):
             witness = skeletal_family_by_opens(space, members)
-            assert is_skeletal_family(space, members) == (witness is None, witness)
+            assert is_skeletal_family(OpenFamily.of(space, members)) == (witness is None, witness)
             failing += witness is not None
     assert failing > 100
 

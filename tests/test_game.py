@@ -217,33 +217,29 @@ def test_witness_strategy_examples():
 
 def test_closure_examples():
     comp = seq_witness_strategies(D2)[1]
-    fam = closure_under_strategies(D2, [0b01], [UnionStrategy(D2), comp])
+    fam = closure_under_strategies(OpenFamily.of(D2, [0b01]), [UnionStrategy(D2), comp])
     assert fam.members == frozenset({0b01, 0b10, 0b11})
-    again = closure_under_strategies(D2, fam, [UnionStrategy(D2), comp])
+    again = closure_under_strategies(fam, [UnionStrategy(D2), comp])
     assert again.members == fam.members
 
     const = RoundRobinStrategy(D3, [0b010])
-    fam2 = closure_under_strategies(D3, [], [const])
+    fam2 = closure_under_strategies(OpenFamily.of(D3, []), [const])
     assert fam2.members == frozenset({0b010})
 
 
 def test_closure_drops_empty_seed_members():
-    fam = closure_under_strategies(D2, [0, 0b01], [RoundRobinStrategy(D2, [0b01])])
+    fam = closure_under_strategies(OpenFamily.of(D2, [0, 0b01]), [RoundRobinStrategy(D2, [0b01])])
     assert fam.members == frozenset({0b01})
 
 
-def test_closure_and_club_reject_a_family_of_another_space():
-    with pytest.raises(ValueError, match="family belongs to a different space"):
-        closure_under_strategies(D2, OpenFamily.of(SIERP, [0b10]), [UnionStrategy(D2)])
-    with pytest.raises(ValueError, match="family belongs to a different space"):
-        build_tclub_member(D2, OpenFamily.of(D3, [0b001]))
-    # a family of an equal space is the same family
+def test_closure_and_club_reject_a_seed_that_is_not_open():
+    # with no strategies the closure is the seed
     same = OpenFamily.of(FiniteSpace.discrete(2), [0b01])
-    assert closure_under_strategies(D2, same, []).members == {0b01}
+    assert closure_under_strategies(same, []).members == {0b01}
     with pytest.raises(ValueError, match="not open"):
-        closure_under_strategies(SIERP, [0b01], [])
-    with pytest.raises(NotClopen):
-        build_tclub_member(SIERP, [0b01])  # {0} is not even open
+        closure_under_strategies(OpenFamily.of(SIERP, [0b01]), [])
+    with pytest.raises(ValueError, match="not open"):
+        build_tclub_member(OpenFamily.of(SIERP, [0b01]))  # {0} is not even open
 
 
 def test_history_strategy_wrapper():
@@ -258,7 +254,7 @@ def test_history_strategy_wrapper():
     assert wrapped.apply_history([0b01, 0b10]) == 0b11
     tiny = HistoryStrategy(union_of, state_cap=1)
     with pytest.raises(StateOverflow):
-        closure_under_strategies(D2, [0b01, 0b10], [tiny])
+        closure_under_strategies(OpenFamily.of(D2, [0b01, 0b10]), [tiny])
 
 
 def test_history_strategy_cap_counts_one_run():
@@ -268,26 +264,26 @@ def test_history_strategy_cap_counts_one_run():
 
 
 def test_tclub_examples():
-    fam = build_tclub_member(D2, [0b01])
+    fam = build_tclub_member(OpenFamily.of(D2, [0b01]))
     assert fam.members == frozenset({0, 0b01, 0b10, 0b11})
-    fam2 = build_tclub_member(D2, [])
+    fam2 = build_tclub_member(OpenFamily.of(D2, []))
     assert fam2.members == frozenset({0, 0b01, 0b10, 0b11})
-    ok, _ = check_condition_S(D2, fam2)
+    ok, _ = check_condition_S(fam2)
     assert ok
 
 
 def test_tclub_validates_clopen_seed():
     with pytest.raises(NotClopen):
-        build_tclub_member(SIERP, [0b10])  # {1} is open, not closed
+        build_tclub_member(OpenFamily.of(SIERP, [0b10]))  # {1} is open, not closed
     with pytest.raises(EmptySpace):
-        build_tclub_member(FiniteSpace(0, [0]), [])
+        build_tclub_member(OpenFamily.of(FiniteSpace(0, [0]), []))
 
 
 def test_tclub_postconditions_on_connected_space():
-    fam = build_tclub_member(WEDGE, [])
+    fam = build_tclub_member(OpenFamily.of(WEDGE, []))
     assert fam.members == frozenset({0, 0b111})
     assert fam.is_ring()
-    assert fam.members <= seq_family(WEDGE, fam).members
+    assert fam.members <= seq_family(fam).members
     q = build_quotient(WEDGE, fam)
     assert q.quotient_space.point_count == 1
     assert q.map.is_skeletal()
@@ -299,16 +295,17 @@ def test_tclub_theorem_seeded():
     for i in range(200):
         space = random_space(rng, 1 + (i % 4))
         seed_fam = random_clopen_seed(rng, space)
-        fam = build_tclub_member(space, seed_fam)
+        fam = build_tclub_member(seed_fam)
         assert fam.is_ring()
-        assert fam.members <= seq_family(space, fam).members
-        ok, _ = check_condition_S(space, fam)
+        assert fam.members <= seq_family(fam).members
+        ok, _ = check_condition_S(fam)
         assert ok
         q = build_quotient(space, fam)
         assert q.map.is_skeletal()
         assert q.quotient_space.separation_flags().completely_regular
         # closed under every strategy that built it: rebuilding is stable
-        assert build_tclub_member(space, fam.members & set(space.clopens())).members == fam.members
+        clopen_part = fam.members & set(space.clopens())
+        assert build_tclub_member(OpenFamily.of(space, clopen_part)).members == fam.members
 
 
 def test_hybrid_strategy_is_winning_everywhere():
@@ -319,9 +316,9 @@ def test_hybrid_strategy_is_winning_everywhere():
 
 
 def test_condition_S_examples():
-    ok, witness = check_condition_S(D2, [0b10])
+    ok, witness = check_condition_S(OpenFamily.of(D2, [0b10]))
     assert not ok and witness == 0b01
-    ok, _ = check_condition_S(D2, D2.nonempty_opens())
+    ok, _ = check_condition_S(OpenFamily.of(D2, D2.nonempty_opens()))
     assert ok
 
 
@@ -331,8 +328,8 @@ def test_solver_closures_satisfy_condition_S():
         space = random_space(rng, 1 + (i % 3))
         seed_fam = random_family(rng, space, rng.randint(0, 3))
         sol = solve_open_open(space)
-        fam = closure_under_strategies(space, seed_fam, [sol.strategy])
-        ok, _ = check_condition_S(space, fam)
+        fam = closure_under_strategies(seed_fam, [sol.strategy])
+        ok, _ = check_condition_S(fam)
         assert ok
 
 

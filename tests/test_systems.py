@@ -9,6 +9,7 @@ from topolab.errors import (
     NotAChain,
     NotDirected,
 )
+from topolab.families import OpenFamily
 from topolab.game import build_tclub_member, verify_winning
 from topolab.jsonio import encode_strategy
 from topolab.randgen import random_quotient_chain, random_union_closed_families, random_space, rng_for
@@ -32,6 +33,7 @@ from oracles import (
     open_onto_image_by_opens,
     poset_order_by_pair_loops,
     quotient_opens_by_subsets,
+    sigma_by_sublimit,
     subbasis_by_meets_and_unions,
     threads_by_search,
     union_is_base_by_opens,
@@ -242,9 +244,9 @@ def test_each_system_is_validated_once(monkeypatch):
         lim = limit_space(sys)
         check_skeletal_system(lim)
         limit_strategy(lim)
-        check_sigma_completeness(sys, [0, 1])  # builds one subsystem
+        check_sigma_completeness(sys, [0, 1])  # reads one bond, builds no subsystem
     assert validated[0] is built[0] and validated[1] is built[1]
-    assert len(validated) == 4 and len({id(s) for s in validated}) == 4
+    assert len(validated) == 2
 
 
 def test_limit_topology_against_pullbacks_of_all_opens():
@@ -337,10 +339,10 @@ def test_system_from_families_requires_directed():
 
 def test_club_collection_gives_skeletal_bonds():
     for space in all_spaces(3, min_points=1):
-        members = [build_tclub_member(space, [])]
+        members = [build_tclub_member(OpenFamily.of(space, []))]
         for c in space.clopens():
             if c:
-                members.append(build_tclub_member(space, [c]))
+                members.append(build_tclub_member(OpenFamily.of(space, [c])))
         fs = system_from_families(space, members)
         for pair in fs.system.poset.pairs():
             assert fs.system.bond(*pair).is_skeletal()
@@ -365,7 +367,7 @@ def test_embedding_identity_and_homeomorphism():
 def test_embedding_base_and_openness_against_opens_scans():
     rng = rng_for(11, "embedding-oracle")
     systems = [
-        system_from_families(space, [build_tclub_member(space, [])])
+        system_from_families(space, [build_tclub_member(OpenFamily.of(space, []))])
         for space in all_spaces(3, min_points=1)
     ]
     for i in range(80):
@@ -397,7 +399,7 @@ def test_embedding_t0_reflection_sanity():
 
 def test_embedding_homeomorphism_when_separating_clopen_base():
     for space in all_spaces(4, min_points=1):
-        members = [build_tclub_member(space, [])]
+        members = [build_tclub_member(OpenFamily.of(space, []))]
         fs = system_from_families(space, members)
         f, rep = embedding_map(fs)
         if rep.separates_points and rep.union_is_base:
@@ -499,3 +501,40 @@ def test_sigma_chain_validation():
     )
     with pytest.raises(NotAChain):
         check_sigma_completeness(incomparable.system, [0, 1])
+
+
+def _chains_upto_three(poset):
+    """Every chain of one to three nodes, each listed once, lowest first."""
+    n = poset.n
+    for a in range(n):
+        yield [a]
+        for b in range(n):
+            if b != a and poset.le(a, b):
+                yield [a, b]
+                for c in range(n):
+                    if c not in (a, b) and poset.le(b, c):
+                        yield [a, b, c]
+
+
+def test_sigma_from_top_bond_matches_sublimit_oracle():
+    rng = rng_for(23, "sigma-oracle")
+    built = []
+    for i in range(90):
+        space = random_space(rng, 2 + (i % 3))
+        fams = random_union_closed_families(rng, space, 2 + (i % 3))
+        built.append(system_from_families(space, fams).system)
+    for i in range(60):
+        built.append(
+            random_quotient_chain(rng, 2 + (i % 3), 2 + (i % 3), discrete_top=(i % 4 == 0))
+        )
+    kinds = {"ok": 0, "thread": 0, "not_open": 0}
+    for sys in built:
+        poset = sys.poset
+        for chain in _chains_upto_three(poset):
+            bounds = [u for u in range(poset.n) if all(poset.le(c, u) for c in chain)]
+            for sup in [None] + bounds:
+                got = check_sigma_completeness(sys, chain, sup)
+                want = sigma_by_sublimit(sys, chain, sup)
+                assert (got.ok, got.sup, got.witness) == (want.ok, want.sup, want.witness)
+                kinds["ok" if got.ok else got.witness[0]] += 1
+    assert kinds["thread"] >= 100 and kinds["not_open"] >= 20, kinds
