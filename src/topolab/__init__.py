@@ -41,7 +41,6 @@ from .game import (
     closure_under_strategies,
     minimal_open_strategy,
     play,
-    seq_witness_strategies,
     solve_open_open,
     verify_winning,
 )

@@ -54,13 +54,6 @@ def _fail_usage(message: str) -> int:
     return 2
 
 
-def _default_seed(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("TOPOLAB_SEED")
-    return int(env) if env else 0
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
@@ -80,10 +73,9 @@ def _read_space(path: str | None) -> FiniteSpace:
 
 
 def cmd_gen(args) -> int:
-    seed = _default_seed(args.seed)
     if args.points < 0 or args.points > MAX_GEN_POINTS:
         return _fail_usage("--points must be between 0 and %d" % MAX_GEN_POINTS)
-    rng = rng_for(seed, "gen-%s" % args.kind)
+    rng = rng_for(args.seed, "gen-%s" % args.kind)
     if args.kind == "space":
         make = random_space if args.method == "preorder" else random_space_subbasis
         obj = jsonio.encode_space(make(rng, args.points))
@@ -108,9 +100,11 @@ def cmd_gen(args) -> int:
 def cmd_game(args) -> int:
     if args.mode == "repl" and not args.input:
         return _fail_usage("repl mode needs --in FILE; stdin carries your moves")
+    if args.max_rounds is not None and args.max_rounds < 1:
+        return _fail_usage("--max-rounds must be at least 1")
     try:
         space = _read_space(args.input)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, RecursionError) as exc:
         return _fail_usage("bad space JSON: %s" % exc)
     if len(space.opens) > MAX_GAME_OPENS:
         return _fail_usage(
@@ -193,18 +187,19 @@ def _repl(space: FiniteSpace, args) -> int:
 
 
 def cmd_suite(args) -> int:
-    seed = _default_seed(args.seed)
     if args.max_points < 1 or args.max_points > MAX_SUITE_POINTS:
         return _fail_usage("--max-points must be between 1 and %d" % MAX_SUITE_POINTS)
     if args.samples < 0:
         return _fail_usage("--samples must be nonnegative")
     try:
-        reports = run_suite(args.name, max_points=args.max_points, samples=args.samples, seed=seed)
+        reports = run_suite(
+            args.name, max_points=args.max_points, samples=args.samples, seed=args.seed
+        )
     except ValueError as exc:
         return _fail_usage(str(exc))
     total = sum(len(r.violations) for r in reports)
     payload = {
-        "seed": seed,
+        "seed": args.seed,
         "max_points": args.max_points,
         "samples": args.samples,
         "suites": [r.to_json() for r in reports],
@@ -270,6 +265,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    if getattr(args, "seed", 0) is None:  # gen and suite fall back to TOPOLAB_SEED
+        env = os.environ.get("TOPOLAB_SEED") or "0"
+        try:
+            args.seed = int(env)
+        except ValueError:
+            return _fail_usage("TOPOLAB_SEED must be an integer, not %r" % env)
     try:
         return args.func(args)
     except OSError as exc:  # --in or --out names a path that cannot be used

@@ -7,30 +7,26 @@ induction over covered sets (every covered set is a union of opens, hence
 open), synthesizes a positional strategy, and an adversarial verifier
 checks any finite-state strategy against every possible opponent.
 
-Strategies are deterministic finite-state transducers.  The history
-functions used in strategy closures are realized by replaying transducers
-over tuples of family members, so closures terminate inside the finite
-powerset.
+Strategies are deterministic finite-state transducers.  A strategy
+closure replays transducers over tuples of family members, so it
+terminates inside the finite powerset.  The club member of a clopen
+seed is the clopen algebra, built outright.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import EmptySpace, IllegalMove, NotClopen, StateOverflow
-from .families import OpenFamily, ring_closure, is_skeletal_family
+from .families import OpenFamily, is_skeletal_family
 from .spaces import FiniteSpace
 
 __all__ = [
     "Strategy",
     "PositionalStrategy",
     "RoundRobinStrategy",
-    "WitnessStrategy",
-    "UnionStrategy",
-    "HybridClopenStrategy",
-    "HistoryStrategy",
     "EchoStrategy",
     "LeastReplyStrategy",
     "MinimalReplyStrategy",
@@ -43,8 +39,6 @@ __all__ = [
     "minimal_open_strategy",
     "verify_winning",
     "play",
-    "default_first_move",
-    "seq_witness_strategies",
     "closure_under_strategies",
     "build_tclub_member",
     "check_condition_S",
@@ -57,16 +51,6 @@ VERIFY_NODE_LIMIT = 500_000
 # A strategy closure raises StateOverflow once one strategy reaches more
 # states than this.
 CLOSURE_STATE_LIMIT = 100_000
-
-
-def default_first_move(space: FiniteSpace) -> int:
-    """Least nonempty clopen set, else least nonempty open set."""
-    if space.point_count == 0:
-        raise EmptySpace("no nonempty open exists")
-    clop = [c for c in space.clopens() if c]
-    if clop:
-        return min(clop)
-    return space.opens[1]
 
 
 class Strategy:
@@ -86,14 +70,6 @@ class Strategy:
 
     def step(self, state, observed):
         raise NotImplementedError
-
-    def apply_history(self, history: Iterable[int]) -> int:
-        """The move this strategy makes after observing the given replies."""
-        move, state = self.step(self.initial_state(), None)
-        for b in history:
-            move, state = self.step(state, b)
-        return move
-
 
 class PositionalStrategy(Strategy):
     """Player I strategy keyed on the covered set, from a solved table."""
@@ -137,136 +113,6 @@ class RoundRobinStrategy(Strategy):
 
     def step(self, state, observed):
         return self.moves[state], (state + 1) % len(self.moves)
-
-
-class WitnessStrategy(Strategy):
-    """One of the two witness-sequence strategies.
-
-    On a single-move history (W,) with W clopen it emits W itself
-    (identity variant) or the complement of W (complement variant, when
-    that complement is nonempty).  Everywhere else it emits the fixed
-    default move.  On finite spaces the witnessing sequences for a clopen
-    set are constant, which is why a single emission per variant suffices.
-    """
-
-    kind = "witness"
-
-    _EMPTY, _FIRST, _REST = 0, 1, 2
-
-    def __init__(self, space: FiniteSpace, complement: bool):
-        self.space = space
-        self.complement = complement
-        self.default = default_first_move(space)
-        self._clopen = set(space.clopens())
-
-    def initial_state(self):
-        return self._EMPTY
-
-    def step(self, state, observed):
-        if state == self._EMPTY:
-            return self.default, self._FIRST
-        if state == self._FIRST and observed is not None:
-            move = self._single(observed)
-            return move, self._REST
-        return self.default, self._REST
-
-    def _single(self, w: int) -> int:
-        if w in self._clopen and w:
-            if not self.complement:
-                return w
-            comp = self.space.full ^ w
-            if comp:
-                return comp
-        return self.default
-
-
-class UnionStrategy(Strategy):
-    """Emits the union of everything observed so far; default on the
-    empty history."""
-
-    kind = "union"
-
-    def __init__(self, space: FiniteSpace):
-        self.space = space
-        self.default = default_first_move(space)
-
-    def initial_state(self):
-        return 0
-
-    def step(self, state, observed):
-        if observed is None:
-            return self.default, 0
-        acc = state | observed
-        return acc, acc
-
-
-class HybridClopenStrategy(Strategy):
-    """Winning strategy whose moves stay clopen while the opponent's do.
-
-    Cycles through the quasi-component atoms (the only nonempty clopen
-    subset of an atom is the atom itself, so clopen replies are forced
-    echoes and the atoms' union is the whole space).  The moment the
-    opponent replies with a non-clopen set, it switches to the solved
-    positional strategy: each later move is ``move_at`` of the covered
-    set.  Strategy closures of clopen families therefore stay inside the
-    clopen algebra.
-    """
-
-    kind = "hybrid_clopen"
-
-    def __init__(self, space: FiniteSpace, solution: "GameSolution"):
-        if space.point_count == 0:
-            raise EmptySpace("no moves exist on the empty space")
-        self.space = space
-        self.positional = solution.strategy
-        self.atoms = space.clopen_atoms()
-        self._clopen = set(space.clopens())
-
-    def initial_state(self):
-        return ("atoms", 0, 0)
-
-    def step(self, state, observed):
-        phase = state[0]
-        if phase == "atoms":
-            _, idx, covered = state
-            if observed is None:
-                return self.atoms[idx], ("atoms", (idx + 1) % len(self.atoms), covered)
-            covered |= observed
-            if observed in self._clopen:
-                return self.atoms[idx], ("atoms", (idx + 1) % len(self.atoms), covered)
-            return self.positional.move_at(covered), ("solve", covered)
-        _, covered = state
-        if observed is not None:
-            covered |= observed
-        return self.positional.move_at(covered), ("solve", covered)
-
-
-class HistoryStrategy(Strategy):
-    """Wrap a raw history function as a transducer.
-
-    States are the observed histories, materialized lazily and capped per
-    run (``initial_state`` starts a fresh count); exceeding the cap raises
-    StateOverflow.  Useful for ad-hoc strategies; the built-in ones are
-    genuinely finite-state instead.
-    """
-
-    kind = "history"
-
-    def __init__(self, fn: Callable[[tuple[int, ...]], int], state_cap: int = 4096):
-        self.fn = fn
-        self.state_cap = state_cap
-        self._seen: set[tuple[int, ...]] = set()
-
-    def initial_state(self):
-        self._seen.clear()
-        return ()
-
-    def step(self, state, observed):
-        history = state if observed is None else state + (observed,)
-        self._seen.add(history)
-        if len(self._seen) > self.state_cap:
-            raise StateOverflow("history strategy exceeded %d states" % self.state_cap)
-        return self.fn(history), history
 
 
 class EchoStrategy(Strategy):
@@ -551,11 +397,6 @@ def play(
 # -- strategy closures and club families ---------------------------------
 
 
-def seq_witness_strategies(space: FiniteSpace) -> list[WitnessStrategy]:
-    """The two collapsed witness strategies (identity and complement)."""
-    return [WitnessStrategy(space, complement=False), WitnessStrategy(space, complement=True)]
-
-
 def _reachable_emissions(space: FiniteSpace, strategy: Strategy, feed: tuple[int, ...]) -> set[int]:
     """Every move the strategy can emit when fed finite histories of the
     given sets, computed by walking the transducer's reachable states;
@@ -606,15 +447,17 @@ def closure_under_strategies(seed: OpenFamily, strategies: Iterable[Strategy]) -
 
 
 def build_tclub_member(seed: OpenFamily) -> OpenFamily:
-    """Close a clopen seed into a club family.
+    """The club member generated by a clopen seed: the clopen algebra.
 
-    The closure runs under a winning strategy that answers clopen
-    histories with clopen moves, both witness strategies and the union
-    strategy, alternating with ring closure until everything is stable;
-    the empty set is always adjoined.  The result is a ring, every member
-    has its complement in the family, and the family is closed under a
-    winning strategy; those are exactly the hypotheses under which the
-    quotient by the family has a skeletal class map.
+    The paper's member is the least ring holding the seed that is closed
+    under a winning strategy of Player I.  The strategy that cycles the
+    quasi-components answers clopen histories with clopen moves and
+    emits every quasi-component, whose unions are all the clopen sets,
+    so that closure is the whole clopen algebra for every clopen seed
+    (``tests/oracles.py`` recomputes it by the strategy closure).  It is
+    a ring, holds each member's complement and is closed under a winning
+    strategy: the hypotheses under which the quotient by it has a
+    skeletal class map.
     """
     space = seed.space
     if space.point_count == 0:
@@ -623,19 +466,7 @@ def build_tclub_member(seed: OpenFamily) -> OpenFamily:
     for m in seed.sorted_members:
         if m not in clopen:
             raise NotClopen("seed member %r is not clopen" % m)
-    solution = solve_open_open(space)
-    strategies: list[Strategy] = [HybridClopenStrategy(space, solution)]
-    strategies += seq_witness_strategies(space)
-    strategies.append(UnionStrategy(space))
-
-    # The closure drops empty members, so a round is stable once it adds
-    # no nonempty one.
-    current = seed
-    while True:
-        ringed = ring_closure(closure_under_strategies(current, strategies))
-        if ringed.members | {0} == current.members | {0}:
-            return OpenFamily.of(space, ringed.members | {0})
-        current = ringed
+    return OpenFamily.of(space, clopen)
 
 
 def check_condition_S(family: OpenFamily) -> tuple[bool, int | None]:

@@ -14,14 +14,11 @@ from .errors import NotDirected
 from .families import OpenFamily, Quotient
 from .game import (
     GameSolution,
-    HybridClopenStrategy,
     PositionalStrategy,
     RoundRobinStrategy,
     Strategy,
     TableStrategy,
     Transcript,
-    UnionStrategy,
-    WitnessStrategy,
 )
 from .spaces import FiniteSpace, SpaceMap, bits_of, mask_of
 from .systems import DirectedPoset, InverseSystem, LimitRoundRobin
@@ -241,13 +238,6 @@ def encode_strategy(strategy: Strategy) -> dict:
         out["chain"] = list(strategy.chain)
     elif isinstance(strategy, RoundRobinStrategy):
         out["moves"] = [mask_to_list(m) for m in strategy.moves]
-    elif isinstance(strategy, WitnessStrategy):
-        out["variant"] = "complement" if strategy.complement else "identity"
-        out["default"] = mask_to_list(strategy.default)
-    elif isinstance(strategy, UnionStrategy):
-        out["default"] = mask_to_list(strategy.default)
-    elif isinstance(strategy, HybridClopenStrategy):
-        out["atoms"] = [mask_to_list(m) for m in strategy.atoms]
     elif isinstance(strategy, TableStrategy):
         out["init"] = strategy.init
         rows = sorted(

@@ -7,7 +7,15 @@ takes, so agreement means something.  Keep these dumb and direct.
 from typing import Iterable
 
 from topolab.errors import EmptySpace, InvalidSystem, NotAChain, NotDirected, StateOverflow
-from topolab.game import GameSolution, PlayTrace, Strategy, VerifyResult
+from topolab.families import OpenFamily, ring_closure
+from topolab.game import (
+    GameSolution,
+    PlayTrace,
+    Strategy,
+    VerifyResult,
+    closure_under_strategies,
+    solve_open_open,
+)
 from topolab.spaces import FiniteSpace, SeparationReport, SpaceMap, bits_of
 from topolab.systems import DirectedPoset, InverseSystem, SigmaReport, limit_space
 
@@ -590,3 +598,153 @@ def sigma_by_sublimit(
     if not h.is_open_map():
         return SigmaReport(False, sup, ("not_open",))
     return SigmaReport(True, sup, None)
+
+
+# -- club members by strategy closure ----------------------------------
+
+
+def apply_history(strategy: Strategy, history: Iterable[int]) -> int:
+    """The move the strategy makes after observing the given replies."""
+    move, state = strategy.step(strategy.initial_state(), None)
+    for b in history:
+        move, state = strategy.step(state, b)
+    return move
+
+
+def default_first_move(space: FiniteSpace) -> int:
+    """Least nonempty clopen set, else least nonempty open set."""
+    if space.point_count == 0:
+        raise EmptySpace("no nonempty open exists")
+    clop = [c for c in space.clopens() if c]
+    if clop:
+        return min(clop)
+    return space.opens[1]
+
+
+class WitnessStrategy(Strategy):
+    """One of the two witness-sequence strategies.
+
+    On a single-move history (W,) with W clopen it emits W itself
+    (identity variant) or the complement of W (complement variant, when
+    that complement is nonempty).  Everywhere else it emits the fixed
+    default move.  On finite spaces the witnessing sequences for a clopen
+    set are constant, which is why a single emission per variant suffices.
+    """
+
+    kind = "witness"
+
+    _EMPTY, _FIRST, _REST = 0, 1, 2
+
+    def __init__(self, space: FiniteSpace, complement: bool):
+        self.space = space
+        self.complement = complement
+        self.default = default_first_move(space)
+        self._clopen = set(space.clopens())
+
+    def initial_state(self):
+        return self._EMPTY
+
+    def step(self, state, observed):
+        if state == self._EMPTY:
+            return self.default, self._FIRST
+        if state == self._FIRST and observed is not None:
+            move = self._single(observed)
+            return move, self._REST
+        return self.default, self._REST
+
+    def _single(self, w: int) -> int:
+        if w in self._clopen and w:
+            if not self.complement:
+                return w
+            comp = self.space.full ^ w
+            if comp:
+                return comp
+        return self.default
+
+
+class UnionStrategy(Strategy):
+    """Emits the union of everything observed so far; default on the
+    empty history."""
+
+    kind = "union"
+
+    def __init__(self, space: FiniteSpace):
+        self.space = space
+        self.default = default_first_move(space)
+
+    def initial_state(self):
+        return 0
+
+    def step(self, state, observed):
+        if observed is None:
+            return self.default, 0
+        acc = state | observed
+        return acc, acc
+
+
+class HybridClopenStrategy(Strategy):
+    """Winning strategy whose moves stay clopen while the opponent's do.
+
+    Cycles through the quasi-component atoms (the only nonempty clopen
+    subset of an atom is the atom itself, so clopen replies are forced
+    echoes and the atoms' union is the whole space).  The moment the
+    opponent replies with a non-clopen set, it switches to the solved
+    positional strategy: each later move is ``move_at`` of the covered
+    set.  Strategy closures of clopen families therefore stay inside the
+    clopen algebra.
+    """
+
+    kind = "hybrid_clopen"
+
+    def __init__(self, space: FiniteSpace, solution: GameSolution):
+        if space.point_count == 0:
+            raise EmptySpace("no moves exist on the empty space")
+        self.space = space
+        self.positional = solution.strategy
+        self.atoms = space.clopen_atoms()
+        self._clopen = set(space.clopens())
+
+    def initial_state(self):
+        return ("atoms", 0, 0)
+
+    def step(self, state, observed):
+        phase = state[0]
+        if phase == "atoms":
+            _, idx, covered = state
+            if observed is None:
+                return self.atoms[idx], ("atoms", (idx + 1) % len(self.atoms), covered)
+            covered |= observed
+            if observed in self._clopen:
+                return self.atoms[idx], ("atoms", (idx + 1) % len(self.atoms), covered)
+            return self.positional.move_at(covered), ("solve", covered)
+        _, covered = state
+        if observed is not None:
+            covered |= observed
+        return self.positional.move_at(covered), ("solve", covered)
+
+
+def seq_witness_strategies(space: FiniteSpace) -> list[WitnessStrategy]:
+    """The two collapsed witness strategies (identity and complement)."""
+    return [WitnessStrategy(space, complement=False), WitnessStrategy(space, complement=True)]
+
+
+def club_by_strategy_closure(seed: OpenFamily) -> OpenFamily:
+    """The club member of a clopen seed by the route ``build_tclub_member``
+    first took: close under a winning strategy that answers clopen
+    histories with clopen moves, both witness strategies and the union
+    strategy, alternating with ring closure until everything is stable;
+    the empty set is always adjoined."""
+    space = seed.space
+    solution = solve_open_open(space)
+    strategies: list[Strategy] = [HybridClopenStrategy(space, solution)]
+    strategies += seq_witness_strategies(space)
+    strategies.append(UnionStrategy(space))
+
+    # The closure drops empty members, so a round is stable once it adds
+    # no nonempty one.
+    current = seed
+    while True:
+        ringed = ring_closure(closure_under_strategies(current, strategies))
+        if ringed.members | {0} == current.members | {0}:
+            return OpenFamily.of(space, ringed.members | {0})
+        current = ringed

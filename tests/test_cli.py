@@ -66,6 +66,16 @@ def test_env_seed_fallback(monkeypatch, capsys):
     assert capsys.readouterr().out == with_env
 
 
+@pytest.mark.parametrize("value", ["abc", " "])
+@pytest.mark.parametrize(
+    "command", [["gen", "space"], ["suite", "quotient", "--max-points", "1", "--samples", "0"]]
+)
+def test_env_seed_that_is_not_an_integer_is_a_usage_error(monkeypatch, capsys, command, value):
+    monkeypatch.setenv("TOPOLAB_SEED", value)
+    assert cli.main(command) == 2
+    assert capsys.readouterr().err == "error: TOPOLAB_SEED must be an integer, not %r\n" % value
+
+
 def test_game_solve_stdin():
     sierp = '{"points":2,"opens":[[],[1],[0,1]]}'
     out = run_cli(["game", "solve"], stdin=sierp)
@@ -104,6 +114,24 @@ def test_game_rejects_malformed_space(tmp_path, blob):
     assert out.returncode == 2
     assert out.stderr.startswith("error: bad space JSON")
     assert "Traceback" not in out.stderr
+
+
+def test_game_rejects_json_nested_past_the_recursion_limit(tmp_path, capsys):
+    space_file = tmp_path / "deep.json"
+    space_file.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["game", "solve", "--in", str(space_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: bad space JSON")
+
+
+@pytest.mark.parametrize("rounds", ["0", "-1"])
+@pytest.mark.parametrize("mode", ["play", "repl"])
+def test_game_max_rounds_below_one_is_a_usage_error(tmp_path, capsys, mode, rounds):
+    space_file = tmp_path / "d2.json"
+    space_file.write_text('{"points":2,"opens":[[],[0],[1],[0,1]]}')
+    assert cli.main(["game", mode, "--in", str(space_file), "--max-rounds", rounds]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-rounds must be at least 1\n"
 
 
 @pytest.mark.parametrize("points, code", [(8, 0), (9, 2)])

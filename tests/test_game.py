@@ -1,34 +1,45 @@
+import itertools
 import random
 
 import pytest
 
 from topolab.enumeration import all_spaces, all_topologies
-from topolab.errors import EmptySpace, IllegalMove, NotClopen, StateOverflow
+from topolab.errors import EmptySpace, IllegalMove, NotClopen
 from topolab.families import OpenFamily, build_quotient, seq_family
 from topolab.game import (
     EchoStrategy,
-    HistoryStrategy,
-    HybridClopenStrategy,
     LeastReplyStrategy,
     MinimalReplyStrategy,
     RoundRobinStrategy,
-    UnionStrategy,
     build_tclub_member,
     check_condition_S,
     closure_under_strategies,
     count_ii_strategies,
-    default_first_move,
     enumerate_ii_strategies,
     minimal_open_strategy,
     play,
-    seq_witness_strategies,
     solve_open_open,
     verify_winning,
 )
-from topolab.randgen import random_clopen_seed, random_family, random_space, rng_for
+from topolab.randgen import (
+    random_clopen_seed,
+    random_family,
+    random_space,
+    random_space_subbasis,
+    rng_for,
+)
 from topolab.spaces import FiniteSpace
 
-from oracles import solve_by_full_scan, verify_by_colors
+from oracles import (
+    HybridClopenStrategy,
+    UnionStrategy,
+    apply_history,
+    club_by_strategy_closure,
+    default_first_move,
+    seq_witness_strategies,
+    solve_by_full_scan,
+    verify_by_colors,
+)
 
 SIERP = FiniteSpace.sierpinski()
 D2 = FiniteSpace.discrete(2)
@@ -203,16 +214,16 @@ def test_default_first_move():
 
 def test_witness_strategy_examples():
     s_id, s_comp = seq_witness_strategies(D2)
-    assert s_comp.apply_history([0b01]) == 0b10
+    assert apply_history(s_comp, [0b01]) == 0b10
     s_id3, _ = seq_witness_strategies(D3)
-    assert s_id3.apply_history([0b011]) == 0b011
+    assert apply_history(s_id3, [0b011]) == 0b011
     # no proper nonempty clopen: both collapse to the default
     w_id, w_comp = seq_witness_strategies(SIERP)
-    assert w_id.apply_history([0b10]) == default_first_move(SIERP)
-    assert w_comp.apply_history([0b10]) == default_first_move(SIERP)
-    assert w_comp.apply_history([]) == default_first_move(SIERP)
+    assert apply_history(w_id, [0b10]) == default_first_move(SIERP)
+    assert apply_history(w_comp, [0b10]) == default_first_move(SIERP)
+    assert apply_history(w_comp, []) == default_first_move(SIERP)
     # longer histories fall back to the default as well
-    assert s_comp.apply_history([0b01, 0b10]) == default_first_move(D2)
+    assert apply_history(s_comp, [0b01, 0b10]) == default_first_move(D2)
 
 
 def test_closure_examples():
@@ -240,27 +251,6 @@ def test_closure_and_club_reject_a_seed_that_is_not_open():
         closure_under_strategies(OpenFamily.of(SIERP, [0b01]), [])
     with pytest.raises(ValueError, match="not open"):
         build_tclub_member(OpenFamily.of(SIERP, [0b01]))  # {0} is not even open
-
-
-def test_history_strategy_wrapper():
-    def union_of(history):
-        acc = 0
-        for b in history:
-            acc |= b
-        return acc or 0b01
-
-    wrapped = HistoryStrategy(union_of, state_cap=64)
-    assert wrapped.apply_history([]) == 0b01
-    assert wrapped.apply_history([0b01, 0b10]) == 0b11
-    tiny = HistoryStrategy(union_of, state_cap=1)
-    with pytest.raises(StateOverflow):
-        closure_under_strategies(OpenFamily.of(D2, [0b01, 0b10]), [tiny])
-
-
-def test_history_strategy_cap_counts_one_run():
-    tally = HistoryStrategy(lambda history: 0b01, state_cap=3)
-    for b in (0b01, 0b10, 0b11):
-        assert tally.apply_history([b]) == 0b01  # two states per run
 
 
 def test_tclub_examples():
@@ -308,6 +298,29 @@ def test_tclub_theorem_seeded():
         assert build_tclub_member(OpenFamily.of(space, clopen_part)).members == fam.members
 
 
+def _assert_club_matches_strategy_closure(seed):
+    assert build_tclub_member(seed).members == club_by_strategy_closure(seed).members
+
+
+def test_club_member_matches_strategy_closure_on_small_spaces():
+    # the empty seed, each nonempty clopen and each pair of them
+    cases = 0
+    for space in all_spaces(4, min_points=1):
+        clopens = [c for c in space.clopens() if c]
+        seeds = [()] + [(c,) for c in clopens] + list(itertools.combinations(clopens, 2))
+        for members in seeds:
+            _assert_club_matches_strategy_closure(OpenFamily.of(space, members))
+            cases += 1
+    assert cases == 1975
+
+
+def test_club_member_matches_strategy_closure_on_seeded_larger_spaces():
+    rng = rng_for(3, "club-oracle")
+    for i in range(200):
+        space = random_space_subbasis(rng, 5 + i % 2)
+        _assert_club_matches_strategy_closure(random_clopen_seed(rng, space))
+
+
 def test_hybrid_strategy_is_winning_everywhere():
     for space in all_spaces(4, min_points=1):
         sol = solve_open_open(space)
@@ -331,6 +344,29 @@ def test_solver_closures_satisfy_condition_S():
         fam = closure_under_strategies(seed_fam, [sol.strategy])
         ok, _ = check_condition_S(fam)
         assert ok
+
+
+def test_closure_lemma_with_a_negative_control():
+    # closures under a winning strategy satisfy condition S; closures under
+    # a one-move strategy the verifier rejects often do not
+    cases = controls = control_failures = 0
+    for space in all_spaces(4, min_points=1):
+        opens = space.nonempty_opens()
+        seeds = [()] + [(o,) for o in opens] + list(itertools.combinations(opens, 2))
+        winners = [solve_open_open(space).strategy, minimal_open_strategy(space)]
+        losers = (RoundRobinStrategy(space, [a]) for a in opens)
+        loser = next((s for s in losers if not verify_winning(space, s).winning), None)
+        for members in seeds:
+            seed = OpenFamily.of(space, members)
+            for strategy in winners:
+                assert check_condition_S(closure_under_strategies(seed, [strategy]))[0]
+                cases += 1
+            if loser is not None:
+                ok, _ = check_condition_S(closure_under_strategies(seed, [loser]))
+                controls += 1
+                control_failures += not ok
+    assert cases == 15_986
+    assert (control_failures, controls) == (3_994, 6_048)
 
 
 def test_solver_beats_every_tiny_transducer():

@@ -254,21 +254,16 @@ def test_huge_member_index_rejected_without_allocating():
 def test_strategy_and_solution_encodings_golden():
     from topolab.game import (
         EchoStrategy,
-        HistoryStrategy,
-        HybridClopenStrategy,
         LeastReplyStrategy,
         MinimalReplyStrategy,
         RoundRobinStrategy,
         TableStrategy,
-        UnionStrategy,
-        seq_witness_strategies,
     )
     from topolab.systems import LimitRoundRobin
 
     sierp, d2, c3 = FiniteSpace.sierpinski(), FiniteSpace.discrete(2), FiniteSpace.chain(3)
     # clopen atoms {0} and {1,2}; {1} is open but not closed
     atoms = FiniteSpace(3, [0, 0b001, 0b010, 0b011, 0b110, 0b111])
-    identity, complement = seq_witness_strategies(d2)
     table = TableStrategy(
         "II", 1, {(1, 0b11): (0b01, 0), (0, None): (0b10, 1), (0, 0b01): (0b01, 1)}
     )
@@ -290,16 +285,6 @@ def test_strategy_and_solution_encodings_golden():
             LimitRoundRobin(d2, [0b01, 0b10], (0, 1)),
             {"kind": "limit_round_robin", "player": "I", "moves": [[0], [1]], "chain": [0, 1]},
         ),
-        (identity, {"kind": "witness", "player": "I", "variant": "identity", "default": [0]}),
-        (
-            complement,
-            {"kind": "witness", "player": "I", "variant": "complement", "default": [0]},
-        ),
-        (UnionStrategy(c3), {"kind": "union", "player": "I", "default": [0, 1, 2]}),
-        (
-            HybridClopenStrategy(atoms, solve_open_open(atoms)),
-            {"kind": "hybrid_clopen", "player": "I", "atoms": [[0], [1, 2]]},
-        ),
         (
             table,
             {
@@ -316,7 +301,6 @@ def test_strategy_and_solution_encodings_golden():
         (EchoStrategy(), {"kind": "echo", "player": "II"}),
         (LeastReplyStrategy(sierp), {"kind": "least", "player": "II"}),
         (MinimalReplyStrategy(sierp), {"kind": "minimal", "player": "II"}),
-        (HistoryStrategy(lambda h: 1), {"kind": "history", "player": "I"}),
     ]
     for strategy, expected in cases:
         assert jsonio.dumps(jsonio.encode_strategy(strategy)) == jsonio.dumps(expected)
