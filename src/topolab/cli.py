@@ -189,8 +189,6 @@ def _repl(space: FiniteSpace, args) -> int:
 def cmd_suite(args) -> int:
     if args.max_points < 1 or args.max_points > MAX_SUITE_POINTS:
         return _fail_usage("--max-points must be between 1 and %d" % MAX_SUITE_POINTS)
-    if args.samples < 0:
-        return _fail_usage("--samples must be nonnegative")
     try:
         reports = run_suite(
             args.name, max_points=args.max_points, samples=args.samples, seed=args.seed

@@ -357,13 +357,15 @@ def play(
     A repeated joint configuration (both states, the covered set and the
     last reply) proves the run would loop forever, and the outcome is
     II-survives.  A run that neither wins nor repeats stops after
-    ``max_rounds`` (by default 4 * points * opens) as a cutoff; a cutoff
-    is flagged, never treated as a loss.
+    ``max_rounds`` (by default 4 * points * opens, else at least 1) as a
+    cutoff; a cutoff is flagged, never treated as a loss.
     """
     if space.point_count == 0:
         raise EmptySpace("the game needs at least one point")
     if max_rounds is None:
         max_rounds = 4 * space.point_count * len(space.opens)
+    elif max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
     rounds: list[tuple[int, int]] = []
     covered_log: list[int] = []
     covered = 0

@@ -322,8 +322,11 @@ def from_subbasis(point_count: int, subbasis: Iterable[int]) -> FiniteSpace:
         gens.add(s)
     rows = [full] * point_count
     for g in gens:
-        for x in bits_of(g):
-            rows[x] &= g
+        m = g
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] &= g
+            m ^= low
     return FiniteSpace._from_closed_rows(rows)
 
 
@@ -379,15 +382,26 @@ def frink_conditions(space: FiniteSpace, base: Iterable[int]) -> FrinkReport:
     return FrinkReport(cond1, w1, cond2, w2)
 
 
+# SpaceMap._skeletal before skeletality is decided; a witness is a
+# nonempty open, so never negative.
+_UNDECIDED = -1
+
+
 class SpaceMap:
     """A point assignment between finite spaces.
 
     Continuity, openness, surjectivity and skeletality are queries rather
     than construction-time invariants, so ill-behaved maps can be built
-    and then diagnosed.
+    and then diagnosed.  Each query reads only what it needs:
+    ``image_of`` walks the bits of its mask, ``is_continuous`` tests each
+    point of each domain row against the codomain row of its row's image
+    point, ``is_open_map`` reads the images of the domain rows and
+    ``is_surjective`` counts the distinct image points.  Skeletality is
+    decided once per map and kept; the kept answer takes no part in
+    equality or hashing.
     """
 
-    __slots__ = ("domain", "codomain", "assign")
+    __slots__ = ("domain", "codomain", "assign", "_skeletal")
 
     def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, assign: Iterable[int]):
         assign = tuple(int(a) for a in assign)
@@ -401,15 +415,19 @@ class SpaceMap:
         self.domain = domain
         self.codomain = codomain
         self.assign = assign
+        self._skeletal = _UNDECIDED
 
     @classmethod
     def identity(cls, space: FiniteSpace) -> "SpaceMap":
         return cls(space, space, range(space.point_count))
 
     def image_of(self, mask: int) -> int:
+        assign = self.assign
         out = 0
-        for x in bits_of(mask):
-            out |= 1 << self.assign[x]
+        while mask:
+            low = mask & -mask
+            out |= 1 << assign[low.bit_length() - 1]
+            mask ^= low
         return out
 
     def preimage_of(self, mask: int) -> int:
@@ -426,18 +444,26 @@ class SpaceMap:
         return SpaceMap(inner.domain, self.codomain, (self.assign[a] for a in inner.assign))
 
     def is_continuous(self) -> bool:
-        """Each domain row maps into the codomain row of its image point."""
-        return all(
-            self.image_of(row) & ~self.codomain.rows[a] == 0
-            for row, a in zip(self.domain.rows, self.assign)
-        )
+        """Each domain row maps into the codomain row of its image point:
+        every y in the row of x has its image in the row of x's image."""
+        assign = self.assign
+        cod_rows = self.codomain.rows
+        for row, a in zip(self.domain.rows, assign):
+            target = cod_rows[a]
+            while row:
+                low = row & -row
+                if not (target >> assign[low.bit_length() - 1]) & 1:
+                    return False
+                row ^= low
+        return True
 
     def is_open_map(self) -> bool:
         """Each domain row has an open image (the rows form a base)."""
         return all(self.codomain.is_open(self.image_of(row)) for row in self.domain.rows)
 
     def is_surjective(self) -> bool:
-        return self.image_of(self.domain.full) == self.codomain.full
+        # __init__ has put every image point in range
+        return len(set(self.assign)) == self.codomain.point_count
 
     def is_skeletal(self) -> bool:
         """True when every nonempty domain open has an image whose closure
@@ -445,7 +471,11 @@ class SpaceMap:
         return self.skeletal_witness() is None
 
     def skeletal_witness(self) -> int | None:
-        """The least nonempty open violating skeletality, or None."""
+        """The least nonempty open violating skeletality, or None.  The
+        first call decides it and later calls return the kept answer; a
+        map that is not a continuous surjection raises on every call."""
+        if self._skeletal is not _UNDECIDED:
+            return self._skeletal
         if not self.is_continuous():
             raise NotContinuous("skeletality is defined for continuous maps only")
         if not self.is_surjective():
@@ -454,10 +484,13 @@ class SpaceMap:
         # subset of a violating open violates too, so the least violating
         # open is a row.
         cod = self.codomain
+        witness = None
         for u in sorted(set(self.domain.rows)):
             if cod.interior(cod.closure(self.image_of(u))) == 0:
-                return u
-        return None
+                witness = u
+                break
+        self._skeletal = witness
+        return witness
 
     def __eq__(self, other: object) -> bool:
         return (

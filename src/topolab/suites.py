@@ -52,9 +52,12 @@ from .systems import (
     system_from_families,
 )
 
-__all__ = ["SuiteReport", "run_suite", "SUITE_NAMES"]
+__all__ = ["SuiteReport", "run_suite", "SUITE_NAMES", "MAX_SUITE_SAMPLES"]
 
 SUITE_NAMES = ("quotient", "game", "systems", "roundtrip")
+# Every sampled section runs in time linear in the samples; at the cap,
+# suite all --max-points 4 took about 7 s on a shared 2-CPU host.
+MAX_SUITE_SAMPLES = 10_000
 
 
 @dataclass
@@ -258,22 +261,20 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
 
     # skeletal suite: maps vs families, dense preimages, open implies skeletal
     surjection_count = 0
+    codomains = [(cod, _space_tag(cod), list(_pi_bases(cod))) for cod in small if cod.point_count]
     for dom in small:
         if dom.point_count == 0:
             continue
         dom_tag = _space_tag(dom)
-        for cod in small:
-            if cod.point_count == 0 or cod.point_count > dom.point_count:
+        for cod, cod_tag, pibases in codomains:
+            if cod.point_count > dom.point_count:
                 continue
-            cod_tag = _space_tag(cod)
-            for assign in _assignments(dom.point_count, cod.point_count):
+            for assign in _continuous_surjections(dom, cod):
                 m = SpaceMap(dom, cod, assign)
-                if not m.is_surjective() or not m.is_continuous():
-                    continue
                 surjection_count += 1
                 tag = [dom_tag, cod_tag, list(assign)]
                 skel = m.is_skeletal()
-                for pibase in _pi_bases(cod):
+                for pibase in pibases:
                     fam = family_from_map(m, pibase)
                     ok, _ = is_skeletal_family(fam)
                     rep.check(
@@ -329,6 +330,43 @@ def _all_unions(members: frozenset[int]) -> set[int]:
         if not extra:
             return out
         out |= extra
+
+
+def _continuous_surjections(dom: FiniteSpace, cod: FiniteSpace):
+    """The assignments of the continuous surjections from dom onto cod, in
+    the order of ``_assignments``.
+
+    A depth-first search places the last point first, at each codomain
+    point in ascending order.  Point x goes to a only when the rows agree
+    with every point y placed before it: y in x's row must land in the row
+    of a, and x in y's row needs a in the row of y's image.  A branch ends
+    as soon as the points left are fewer than the codomain points not yet
+    hit, so every assignment that survives to the end is onto.
+    """
+    dom_rows, cod_rows = dom.rows, cod.rows
+    n, m = dom.point_count, cod.point_count
+    assign = [0] * n
+
+    def place(x: int, hit: int):
+        if x < 0:
+            if hit == cod.full:
+                yield tuple(assign)
+            return
+        need = 0  # images of the placed points in x's row
+        allowed = cod.full  # inside the image row of each placed y whose row holds x
+        for y in range(x + 1, n):
+            if (dom_rows[x] >> y) & 1:
+                need |= 1 << assign[y]
+            if (dom_rows[y] >> x) & 1:
+                allowed &= cod_rows[assign[y]]
+        for a in range(m):
+            if (allowed >> a) & 1 and need & ~cod_rows[a] == 0:
+                now = hit | 1 << a
+                if m - now.bit_count() <= x:
+                    assign[x] = a
+                    yield from place(x - 1, now)
+
+    return place(n - 1, 0)
 
 
 def _assignments(n: int, m: int):
@@ -651,6 +689,8 @@ _RUNNERS = {
 
 def run_suite(name: str, max_points: int, samples: int, seed: int):
     """Run one named suite, or all of them; returns a list of reports."""
+    if not 0 <= samples <= MAX_SUITE_SAMPLES:
+        raise ValueError("samples must be between 0 and %d" % MAX_SUITE_SAMPLES)
     if name == "all":
         return [
             _RUNNERS[n](max_points=max_points, samples=samples, seed=seed)

@@ -108,22 +108,40 @@ def two_valued_separation(space: FiniteSpace) -> bool:
     return True
 
 
-def all_surjections(dom: FiniteSpace, cod: FiniteSpace):
-    """Every point assignment from dom onto cod, as SpaceMap."""
-    n, m = dom.point_count, cod.point_count
-    if m == 0:
-        if n == 0:
-            yield SpaceMap(dom, cod, ())
-        return
+def assignments(n: int, m: int):
+    """Every assignment of n points to m, as tuples, the first point
+    cycling fastest."""
     for code in range(m**n):
         assign = []
         c = code
         for _ in range(n):
             assign.append(c % m)
             c //= m
-        sm = SpaceMap(dom, cod, assign)
-        if sm.is_surjective():
-            yield sm
+        yield tuple(assign)
+
+
+def all_surjections(dom: FiniteSpace, cod: FiniteSpace):
+    """Every point assignment from dom onto cod, as SpaceMap."""
+    m = cod.point_count
+    for assign in assignments(dom.point_count, m):
+        if all(a in assign for a in range(m)):
+            yield SpaceMap(dom, cod, assign)
+
+
+def continuous_surjections_by_filter(dom: FiniteSpace, cod: FiniteSpace):
+    """The assignments of every continuous surjection from dom onto cod,
+    by testing each assignment in turn."""
+    for m in all_surjections(dom, cod):
+        if continuous_by_preimages(m):
+            yield m.assign
+
+
+def image_by_bits(m: SpaceMap, mask: int) -> int:
+    """The image of a domain subset, point by point."""
+    out = 0
+    for x in bits_of(mask):
+        out |= 1 << m.assign[x]
+    return out
 
 
 def every_family(space: FiniteSpace):

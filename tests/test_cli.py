@@ -57,6 +57,14 @@ def test_gen_system_chain_stays_decodable(capsys):
     assert capsys.readouterr().err == "error: --chain must be at most 64\n"
 
 
+@pytest.mark.parametrize("samples", ["-1", "10001", "99999999999999999999"])
+def test_suite_samples_outside_the_cap_are_a_usage_error(capsys, samples):
+    assert cli.main(["suite", "game", "--max-points", "1", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: samples must be between 0 and 10000\n"
+
+
 def test_env_seed_fallback(monkeypatch, capsys):
     monkeypatch.setenv("TOPOLAB_SEED", "7")
     assert cli.main(["gen", "space", "--points", "3"]) == 0

@@ -178,6 +178,12 @@ def test_play_examples():
     assert t3.outcome == "cutoff" and len(t3.rounds) == 10 and t3.covered[-1] == 0b01
 
 
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_play_needs_at_least_one_round(rounds):
+    with pytest.raises(ValueError, match="max_rounds must be at least 1"):
+        play(D2, solve_open_open(D2).strategy, EchoStrategy(), max_rounds=rounds)
+
+
 def test_play_rejects_illegal_moves():
     class BadII(EchoStrategy):
         def step(self, state, observed):

@@ -13,6 +13,7 @@ from oracles import (
     closure_by_closed_scan,
     continuous_by_preimages,
     every_family,
+    image_by_bits,
     interior_by_definition,
     least_open_not_a_union,
     open_by_images,
@@ -201,6 +202,9 @@ def test_continuity_and_openness_against_oracles_exhaustive():
         for cod in spaces:
             for assign in product(range(cod.point_count), repeat=dom.point_count):
                 m = SpaceMap(dom, cod, assign)
+                for mask in range(dom.full + 1):
+                    assert m.image_of(mask) == image_by_bits(m, mask)
+                assert m.is_surjective() == all(a in assign for a in range(cod.point_count))
                 verdict = (m.is_continuous(), m.is_open_map())
                 assert verdict == (continuous_by_preimages(m), open_by_images(m))
                 seen.add(verdict)
@@ -224,6 +228,36 @@ def test_skeletal_requires_continuous_surjection():
     not_onto = SpaceMap(D2, D2, [0, 0])
     with pytest.raises(NotSurjective):
         not_onto.is_skeletal()
+    # a refusal is not kept: asking again raises again
+    with pytest.raises(NotContinuous):
+        sierp_to_d2.skeletal_witness()
+    with pytest.raises(NotSurjective):
+        not_onto.skeletal_witness()
+
+
+def test_skeletal_witness_is_decided_once(monkeypatch):
+    maps = [
+        m
+        for dom in all_spaces(3)
+        for cod in all_spaces(3)
+        for m in all_surjections(dom, cod)
+        if continuous_by_preimages(m)
+    ]
+    answers = []
+    for m in maps:
+        twin = SpaceMap(m.domain, m.codomain, m.assign)
+        answers.append(m.skeletal_witness())
+        assert m == twin and hash(m) == hash(twin)
+        assert twin.skeletal_witness() == answers[-1]
+    closures = []
+    original = FiniteSpace.closure
+    monkeypatch.setattr(
+        FiniteSpace, "closure", lambda self, mask: closures.append(mask) or original(self, mask)
+    )
+    assert [m.skeletal_witness() for m in maps] == answers
+    assert [m.is_skeletal() for m in maps] == [w is None for w in answers]
+    assert closures == []
+    assert None in answers and any(answers)
 
 
 def test_open_continuous_surjections_are_skeletal():

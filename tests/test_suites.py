@@ -5,15 +5,20 @@ from pathlib import Path
 import pytest
 
 from topolab import cli
+from topolab.enumeration import all_spaces
 from topolab.jsonio import dumps
 from topolab.suites import (
+    MAX_SUITE_SAMPLES,
     SuiteReport,
+    _continuous_surjections,
     game_suite,
     quotient_suite,
     roundtrip_suite,
     run_suite,
     systems_suite,
 )
+
+from oracles import continuous_surjections_by_filter
 
 
 def test_report_ok_iff_no_violations():
@@ -49,6 +54,25 @@ def test_unknown_suite_name():
 
     with pytest.raises(ValueError):
         run_suite("nope", max_points=3, samples=1, seed=0)
+
+
+@pytest.mark.parametrize("samples", [-1, MAX_SUITE_SAMPLES + 1])
+def test_samples_outside_the_cap_are_refused(samples):
+    with pytest.raises(ValueError, match="samples must be between 0 and 10000"):
+        run_suite("game", max_points=1, samples=samples, seed=0)
+
+
+def test_continuous_surjections_match_the_filter():
+    small = all_spaces(3)
+    found = 0
+    for dom in small:
+        for cod in small:
+            got = list(_continuous_surjections(dom, cod))
+            assert got == list(continuous_surjections_by_filter(dom, cod))
+            if dom.point_count and cod.point_count:
+                found += len(got)
+    assert found == 1_546
+    assert quotient_suite(max_points=3, samples=0).counts["continuous_surjections"] == found
 
 
 REFERENCE_DIGESTS = Path(__file__).resolve().parent.parent / "bench" / "reference_digests.json"
