@@ -21,7 +21,6 @@ from . import jsonio
 from .errors import TopolabError
 from .game import (
     EchoStrategy,
-    LeastReplyStrategy,
     MinimalReplyStrategy,
     minimal_open_strategy,
     play,
@@ -38,13 +37,11 @@ from .spaces import FiniteSpace, mask_of
 from .suites import SUITE_NAMES, run_suite
 
 MAX_GEN_POINTS = 6
-MAX_SUITE_POINTS = 4  # the brute-force topology count is doubly exponential
 # The solver is cubic in the number of opens: at most 255**3 reply checks.
 MAX_GAME_OPENS = 256
 
 II_STRATEGIES = {
     "echo": lambda space: EchoStrategy(),
-    "least": LeastReplyStrategy,
     "minimal": MinimalReplyStrategy,
 }
 
@@ -187,8 +184,6 @@ def _repl(space: FiniteSpace, args) -> int:
 
 
 def cmd_suite(args) -> int:
-    if args.max_points < 1 or args.max_points > MAX_SUITE_POINTS:
-        return _fail_usage("--max-points must be between 1 and %d" % MAX_SUITE_POINTS)
     try:
         reports = run_suite(
             args.name, max_points=args.max_points, samples=args.samples, seed=args.seed

@@ -248,13 +248,14 @@ def family_from_map(space_map: SpaceMap, pibase: Iterable[int]) -> OpenFamily:
     if not space_map.is_continuous():
         raise NotContinuous("preimage family needs a continuous map")
     cod = space_map.codomain
-    members = sorted({int(v) for v in pibase})
-    for v in members:
-        if v == 0 or not cod.is_open(v):
-            raise NotAPiBase("pi-base members must be nonempty opens")
-    # An open holding no member contains a row holding none, no larger.
-    for o in sorted(set(cod.rows)):
-        if not any(v & ~o == 0 for v in members):
-            raise NotAPiBase("open %r contains no pi-base member" % o)
+    members = {int(v) for v in pibase}
+    if not all(v and cod.is_open(v) for v in members):
+        raise NotAPiBase("pi-base members must be nonempty opens")
+    # The only nonempty open inside a minimal open is itself, and every
+    # nonempty open holds a minimal open no larger than itself, so the
+    # least open holding no member is the least minimal open left out.
+    for m in cod.minimal_open_family():
+        if m not in members:
+            raise NotAPiBase("open %r contains no pi-base member" % m)
     return OpenFamily.of(space_map.domain, (space_map.preimage_of(v) for v in members))
 

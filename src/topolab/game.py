@@ -28,7 +28,6 @@ __all__ = [
     "PositionalStrategy",
     "RoundRobinStrategy",
     "EchoStrategy",
-    "LeastReplyStrategy",
     "MinimalReplyStrategy",
     "TableStrategy",
     "GameSolution",
@@ -128,25 +127,12 @@ class EchoStrategy(Strategy):
         return observed, 0
 
 
-class LeastReplyStrategy(Strategy):
-    """Player II strategy returning the least nonempty open inside the offer."""
-
-    player = "II"
-    kind = "least"
-
-    def __init__(self, space: FiniteSpace):
-        self.space = space
-
-    def initial_state(self):
-        return 0
-
-    def step(self, state, observed):
-        reply = min(b for b in self.space.nonempty_opens() if b & ~observed == 0)
-        return reply, 0
-
-
 class MinimalReplyStrategy(Strategy):
-    """Player II strategy returning the least minimal open inside the offer."""
+    """Player II strategy returning the least minimal open inside the offer.
+
+    A subset is never numerically larger than a set holding it, and every
+    nonempty open holds a minimal open, so this is also the least nonempty
+    open inside the offer."""
 
     player = "II"
     kind = "minimal"

@@ -42,7 +42,7 @@ from .randgen import (
     random_union_closed_families,
     rng_for,
 )
-from .spaces import FiniteSpace, SpaceMap, frink_conditions
+from .spaces import FiniteSpace, SpaceMap, bits_of, frink_conditions
 from .systems import (
     check_sigma_completeness,
     check_skeletal_system,
@@ -52,9 +52,13 @@ from .systems import (
     system_from_families,
 )
 
-__all__ = ["SuiteReport", "run_suite", "SUITE_NAMES", "MAX_SUITE_SAMPLES"]
+__all__ = ["SuiteReport", "run_suite", "SUITE_NAMES", "MAX_SUITE_POINTS", "MAX_SUITE_SAMPLES"]
 
 SUITE_NAMES = ("quotient", "game", "systems", "roundtrip")
+# The quotient suite walks every topology on up to max_points points and
+# the game suite counts them by brute force; both grow doubly
+# exponentially (9,535,241 topologies on 7 points).
+MAX_SUITE_POINTS = 4
 # Every sampled section runs in time linear in the samples; at the cap,
 # suite all --max-points 4 took about 7 s on a shared 2-CPU host.
 MAX_SUITE_SAMPLES = 10_000
@@ -103,11 +107,18 @@ def _families_over(space: FiniteSpace):
 
 
 def _pi_bases(space: FiniteSpace):
+    """Every pi-base of nonempty opens, each listed in the order of the
+    opens.  The only nonempty open inside a minimal open is that minimal
+    open, and every nonempty open contains one, so the pi-bases are the
+    minimal opens together with any subset of the other nonempty opens;
+    counting those subsets upward lists the pi-bases in the order of the
+    subsets of all nonempty opens."""
     pool = space.nonempty_opens()
-    for pick in range(1 << len(pool)):
-        members = [pool[k] for k in range(len(pool)) if (pick >> k) & 1]
-        if all(any(v & ~o == 0 for v in members) for o in pool):
-            yield members
+    minimal = set(space.minimal_open_family())
+    others = [o for o in pool if o not in minimal]
+    for pick in range(1 << len(others)):
+        chosen = minimal | {others[k] for k in range(len(others)) if (pick >> k) & 1}
+        yield [o for o in pool if o in chosen]
 
 
 # ----------------------------------------------------------------------
@@ -301,26 +312,18 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
 
 
 def _completely_regular_oracle(space: FiniteSpace) -> bool:
-    """Separate points from closed sets with two-valued continuous maps,
-    enumerated exhaustively; independent of the clopen-base shortcut."""
-    d2 = FiniteSpace.discrete(2)
-    n = space.point_count
-    continuous_two_valued = [
-        assign
-        for assign in _assignments(n, 2)
-        if SpaceMap(space, d2, assign).is_continuous()
-    ]
-    for o in space.opens:
-        closed = space.full ^ o
-        for x in range(n):
-            if not (o >> x) & 1:
-                continue
-            if not any(
-                a[x] == 0 and all(a[y] == 1 for y in jsonio.mask_to_list(closed))
-                for a in continuous_two_valued
-            ):
-                return False
-    return True
+    """Separate each point of an open o from the closed complement of o by
+    a two-valued continuous map.  A map into the discrete two-point space
+    is continuous exactly when the preimage of 0 is clopen, so such a map
+    exists exactly when some clopen set holds the point inside o.  Reads
+    the lattice of opens, independent of the symmetric-preorder reading in
+    ``separation_flags``."""
+    clopens = space.clopens()
+    return all(
+        any((c >> x) & 1 and c & ~o == 0 for c in clopens)
+        for o in space.opens
+        for x in bits_of(o)
+    )
 
 
 def _all_unions(members: frozenset[int]) -> set[int]:
@@ -333,8 +336,8 @@ def _all_unions(members: frozenset[int]) -> set[int]:
 
 
 def _continuous_surjections(dom: FiniteSpace, cod: FiniteSpace):
-    """The assignments of the continuous surjections from dom onto cod, in
-    the order of ``_assignments``.
+    """The assignments of the continuous surjections from dom onto cod,
+    the first point cycling fastest.
 
     A depth-first search places the last point first, at each codomain
     point in ascending order.  Point x goes to a only when the rows agree
@@ -367,19 +370,6 @@ def _continuous_surjections(dom: FiniteSpace, cod: FiniteSpace):
                     yield from place(x - 1, now)
 
     return place(n - 1, 0)
-
-
-def _assignments(n: int, m: int):
-    if n == 0:
-        yield ()
-        return
-    for code in range(m**n):
-        assign = []
-        c = code
-        for _ in range(n):
-            assign.append(c % m)
-            c //= m
-        yield tuple(assign)
 
 
 # ----------------------------------------------------------------------
@@ -689,6 +679,8 @@ _RUNNERS = {
 
 def run_suite(name: str, max_points: int, samples: int, seed: int):
     """Run one named suite, or all of them; returns a list of reports."""
+    if not 1 <= max_points <= MAX_SUITE_POINTS:
+        raise ValueError("max_points must be between 1 and %d" % MAX_SUITE_POINTS)
     if not 0 <= samples <= MAX_SUITE_SAMPLES:
         raise ValueError("samples must be between 0 and %d" % MAX_SUITE_SAMPLES)
     if name == "all":

@@ -4,10 +4,13 @@ the base space into the limit, and the winning strategy lifted to a limit.
 
 A finite directed poset has a top node and the bonds commute, so each
 point p of the top space fixes one thread, (bond(i, top)(p))_i, and every
-thread is fixed so.  ``limit_space`` reads the threads off the top space;
-the search over the product of the node point sets lives on in
-``tests/oracles.py``.  The limit topology is still pulled back from every
-node, as defined.
+thread is fixed so.  ``limit_space`` reads the threads off the top space,
+and its topology too: each projection is ``bond(i, top)`` after the top
+projection, and a continuous bond pulls each open back to an open of the
+top space, so the top rows generate every pulled-back open.  The limit is
+the top space with its points relabeled, and every projection is onto.
+The search over the product of the node point sets and the pull-back
+from every node live on in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -223,6 +226,7 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
     if not sys.check.ok:
         raise InvalidSystem(sys.check.witness)
     n = sys.poset.n
+    subbasis = set()
     if n:
         # Each point of the top space fixes one thread, and every thread.
         top = sys.poset.top()
@@ -230,19 +234,17 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
         threads = sorted(
             tuple(assign[p] for assign in bonds) for p in range(sys.spaces[top].point_count)
         )
-    else:
-        threads = [()]
-    t = len(threads)
-    # A node's rows are a base: pulling back all opens adds nothing.
-    subbasis = set()
-    for i in range(n):
-        for v in set(sys.spaces[i].rows):
+        # The top rows are a base of the top space, and every other node's
+        # opens pull back through the continuous bond(i, top) to top opens.
+        for v in set(sys.spaces[top].rows):
             mask = 0
             for ti, thread in enumerate(threads):
-                if (v >> thread[i]) & 1:
+                if (v >> thread[top]) & 1:
                     mask |= 1 << ti
             subbasis.add(mask)
-    space = from_subbasis(t, subbasis)
+    else:
+        threads = [()]
+    space = from_subbasis(len(threads), subbasis)
     projections = tuple(
         SpaceMap(space, sys.spaces[i], (thread[i] for thread in threads))
         for i in range(n)
@@ -253,12 +255,12 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
 @dataclass(frozen=True)
 class SkeletalSystemReport:
     """Per-bond and per-projection skeletality, plus the proposition that
-    skeletal bonds with onto projections force skeletal projections.
-    ``proposition_holds`` is None when the hypothesis does not apply."""
+    skeletal bonds force skeletal projections.  Every projection of a
+    finite limit is onto, so the hypothesis is that every bond is
+    skeletal; ``proposition_holds`` is None when it does not hold."""
 
     bond_skeletal: dict[tuple[int, int], bool]
-    projection_surjective: dict[int, bool]
-    projection_skeletal: dict[int, bool | None]
+    projection_skeletal: dict[int, bool]
     hypothesis_holds: bool
     proposition_holds: bool | None
 
@@ -269,15 +271,11 @@ def check_skeletal_system(lim: LimitSpace) -> SkeletalSystemReport:
     bond_skel = {
         (i, j): sys.bond(i, j).is_skeletal() for i, j in sys.poset.pairs()
     }
-    proj_surj = {i: lim.projections[i].is_surjective() for i in range(sys.poset.n)}
-    proj_skel: dict[int, bool | None] = {}
-    for i in range(sys.poset.n):
-        proj_skel[i] = lim.projections[i].is_skeletal() if proj_surj[i] else None
-    hypothesis = all(bond_skel.values()) and all(proj_surj.values())
+    proj_skel = {i: p.is_skeletal() for i, p in enumerate(lim.projections)}
+    hypothesis = all(bond_skel.values())
     proposition = all(proj_skel.values()) if hypothesis else None
     return SkeletalSystemReport(
         bond_skeletal=bond_skel,
-        projection_surjective=proj_surj,
         projection_skeletal=proj_skel,
         hypothesis_holds=hypothesis,
         proposition_holds=proposition,

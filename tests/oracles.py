@@ -16,7 +16,7 @@ from topolab.game import (
     closure_under_strategies,
     solve_open_open,
 )
-from topolab.spaces import FiniteSpace, SeparationReport, SpaceMap, bits_of
+from topolab.spaces import FiniteSpace, SeparationReport, SpaceMap, bits_of, mask_of
 from topolab.systems import DirectedPoset, InverseSystem, SigmaReport, limit_space
 
 
@@ -247,6 +247,16 @@ def least_open_without_member(space: FiniteSpace, members) -> int | None:
     return None
 
 
+def pi_bases_by_filter(space: FiniteSpace):
+    """Every set of nonempty opens that leaves no nonempty open without a
+    member, listed in the order of the opens, the sets counted upward."""
+    pool = space.nonempty_opens()
+    for pick in range(1 << len(pool)):
+        members = [pool[k] for k in range(len(pool)) if (pick >> k) & 1]
+        if least_open_without_member(space, members) is None:
+            yield members
+
+
 def separation_flags_by_definition(space: FiniteSpace) -> SeparationReport:
     """Every flag by its definition, quantifying over pairs of opens;
     ``completely_regular`` reads "the clopen sets form a base"."""
@@ -361,6 +371,24 @@ def solve_by_full_scan(space: FiniteSpace) -> GameSolution:
     return GameSolution(space=space, winner=winner, table=table)
 
 
+class LeastReplyStrategy(Strategy):
+    """Player II strategy returning the least nonempty open inside the
+    offer, by scanning every nonempty open."""
+
+    player = "II"
+    kind = "least"
+
+    def __init__(self, space: FiniteSpace):
+        self.space = space
+
+    def initial_state(self):
+        return 0
+
+    def step(self, state, observed):
+        reply = min(b for b in self.space.nonempty_opens() if b & ~observed == 0)
+        return reply, 0
+
+
 def poset_order_by_pair_loops(n: int, leq) -> frozenset:
     """The order on range(n) as a set of (i, j) pairs, checked pair by
     pair: range, antisymmetry, transitivity over every third element, and
@@ -418,6 +446,17 @@ def threads_by_search(sys) -> tuple[tuple[int, ...], ...]:
     extend([])
     threads.sort()
     return tuple(threads)
+
+
+def limit_topology_by_every_node(sys) -> FiniteSpace:
+    """The topology on the searched threads generated by the preimage of
+    every open of every node under its projection, as defined."""
+    threads = threads_by_search(sys)
+    subbasis = set()
+    for i, space in enumerate(sys.spaces):
+        for v in space.opens:
+            subbasis.add(mask_of(t for t, thread in enumerate(threads) if (v >> thread[i]) & 1))
+    return subbasis_by_meets_and_unions(len(threads), subbasis)
 
 
 def least_upper_bound_by_le(poset, subset):

@@ -65,6 +65,14 @@ def test_suite_samples_outside_the_cap_are_a_usage_error(capsys, samples):
     assert captured.err == "error: samples must be between 0 and 10000\n"
 
 
+@pytest.mark.parametrize("points", ["0", "5"])
+def test_suite_points_outside_the_cap_are_a_usage_error(capsys, points):
+    assert cli.main(["suite", "all", "--max-points", points, "--samples", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max_points must be between 1 and 4\n"
+
+
 def test_env_seed_fallback(monkeypatch, capsys):
     monkeypatch.setenv("TOPOLAB_SEED", "7")
     assert cli.main(["gen", "space", "--points", "3"]) == 0

@@ -8,7 +8,6 @@ from topolab.errors import EmptySpace, IllegalMove, NotClopen
 from topolab.families import OpenFamily, build_quotient, seq_family
 from topolab.game import (
     EchoStrategy,
-    LeastReplyStrategy,
     MinimalReplyStrategy,
     RoundRobinStrategy,
     build_tclub_member,
@@ -32,6 +31,7 @@ from topolab.spaces import FiniteSpace
 
 from oracles import (
     HybridClopenStrategy,
+    LeastReplyStrategy,
     UnionStrategy,
     apply_history,
     club_by_strategy_closure,
@@ -201,13 +201,25 @@ def test_play_rejects_illegal_moves():
         play(space, BadI(space, [0b10]), EchoStrategy())
 
 
-def test_play_against_least_and_minimal_replies():
+def test_play_against_echo_and_minimal_replies():
     for space in all_spaces(4, min_points=1):
         sol = solve_open_open(space)
-        for opp in (EchoStrategy(), LeastReplyStrategy(space), MinimalReplyStrategy(space)):
+        for opp in (EchoStrategy(), MinimalReplyStrategy(space)):
             t = play(space, sol.strategy, opp)
             assert t.outcome == "I-wins"
             assert len(t.rounds) <= space.point_count
+
+
+def test_minimal_reply_is_the_least_reply_on_every_offer():
+    # a subset is never numerically larger than a set holding it, so the
+    # least nonempty open inside an offer is a minimal open
+    offers = 0
+    for space in all_spaces(4, min_points=1):
+        least, minimal = LeastReplyStrategy(space), MinimalReplyStrategy(space)
+        for a in space.nonempty_opens():
+            assert minimal.step(0, a) == least.step(0, a)
+            offers += 1
+    assert offers == 2_093
 
 
 def test_default_first_move():

@@ -254,7 +254,6 @@ def test_huge_member_index_rejected_without_allocating():
 def test_strategy_and_solution_encodings_golden():
     from topolab.game import (
         EchoStrategy,
-        LeastReplyStrategy,
         MinimalReplyStrategy,
         RoundRobinStrategy,
         TableStrategy,
@@ -299,7 +298,6 @@ def test_strategy_and_solution_encodings_golden():
             },
         ),
         (EchoStrategy(), {"kind": "echo", "player": "II"}),
-        (LeastReplyStrategy(sierp), {"kind": "least", "player": "II"}),
         (MinimalReplyStrategy(sierp), {"kind": "minimal", "player": "II"}),
     ]
     for strategy, expected in cases:

@@ -8,9 +8,12 @@ from topolab import cli
 from topolab.enumeration import all_spaces
 from topolab.jsonio import dumps
 from topolab.suites import (
+    MAX_SUITE_POINTS,
     MAX_SUITE_SAMPLES,
     SuiteReport,
+    _completely_regular_oracle,
     _continuous_surjections,
+    _pi_bases,
     game_suite,
     quotient_suite,
     roundtrip_suite,
@@ -18,7 +21,7 @@ from topolab.suites import (
     systems_suite,
 )
 
-from oracles import continuous_surjections_by_filter
+from oracles import continuous_surjections_by_filter, pi_bases_by_filter, two_valued_separation
 
 
 def test_report_ok_iff_no_violations():
@@ -60,6 +63,30 @@ def test_unknown_suite_name():
 def test_samples_outside_the_cap_are_refused(samples):
     with pytest.raises(ValueError, match="samples must be between 0 and 10000"):
         run_suite("game", max_points=1, samples=samples, seed=0)
+
+
+@pytest.mark.parametrize("max_points", [-1, 0, MAX_SUITE_POINTS + 1])
+def test_points_outside_the_cap_are_refused(max_points):
+    with pytest.raises(ValueError, match="max_points must be between 1 and 4"):
+        run_suite("all", max_points=max_points, samples=0, seed=0)
+
+
+def test_pi_bases_match_the_filter():
+    spaces = all_spaces(4)
+    assert len(spaces) == 390  # the 389 spaces on 1-4 points, and the empty one
+    listed = 0
+    for space in spaces:
+        got = list(_pi_bases(space))
+        assert got == list(pi_bases_by_filter(space))
+        listed += len(got)
+    assert listed > len(spaces)
+
+
+def test_completely_regular_oracle_matches_two_valued_maps():
+    spaces = all_spaces(4)
+    verdicts = [_completely_regular_oracle(space) for space in spaces]
+    assert verdicts == [two_valued_separation(space) for space in spaces]
+    assert 0 < sum(verdicts) < len(spaces)
 
 
 def test_continuous_surjections_match_the_filter():

@@ -30,6 +30,7 @@ from oracles import (
     commutation_witness_by_compose,
     greedy_chain_by_le,
     least_upper_bound_by_le,
+    limit_topology_by_every_node,
     open_onto_image_by_opens,
     poset_order_by_pair_loops,
     quotient_opens_by_subsets,
@@ -43,6 +44,23 @@ D2 = FiniteSpace.discrete(2)
 D4 = FiniteSpace.discrete(4)
 SIERP = FiniteSpace.sierpinski()
 CHAIN3 = FiniteSpace.chain(3)
+
+
+@pytest.fixture(autouse=True)
+def every_limit_against_every_node(monkeypatch):
+    """Every limit a test here builds, directly or through the library,
+    carries the topology pulled back from every node, and each of its
+    projections is onto."""
+    real = systems.limit_space
+
+    def checked(sys):
+        lim = real(sys)
+        assert lim.space == limit_topology_by_every_node(sys)
+        assert all(p.is_surjective() for p in lim.projections)
+        return lim
+
+    monkeypatch.setattr(systems, "limit_space", checked)
+    monkeypatch.setitem(globals(), "limit_space", checked)
 
 
 def two_node_system(low_space, high_space, assign):
@@ -213,6 +231,30 @@ def test_limit_threads_match_the_search():
     assert limit_space(systems_seen[2]).threads == ()
 
 
+def test_limit_is_the_top_node_on_the_seed_42_suite_systems():
+    # the systems suite's chains at seed 42, --max-points 4, 500 samples
+    rng = rng_for(42, "systems")
+    built = [
+        random_quotient_chain(rng, 2 + (i % 3), 2 + (i % 2), discrete_top=(i % 5 == 0))
+        for i in range(500)
+    ]
+    # the club systems and the directed family systems of the same run
+    for space in all_spaces(4, min_points=1):
+        seeds = [()] + [(c,) for c in space.clopens() if c]
+        members = [build_tclub_member(OpenFamily.of(space, s)) for s in seeds]
+        built.append(system_from_families(space, members).system)
+    rng2 = rng_for(42, "dirfam")
+    for i in range(120):
+        space = random_space(rng2, 2 + (i % 2))
+        fams = random_union_closed_families(rng2, space, rng2.randint(1, 3))
+        built.append(system_from_families(space, fams).system)
+    assert len(built) == 500 + 389 + 120
+    for sys in built:
+        lim = limit_space(sys)
+        assert lim.space == limit_topology_by_every_node(sys)
+        assert all(p.is_surjective() for p in lim.projections)
+
+
 def test_limit_requires_valid_system():
     bad = two_node_system(D2, D2, [0, 0])
     with pytest.raises(InvalidSystem):
@@ -292,11 +334,13 @@ def test_skeletal_system_reports():
     ident = two_node_system(D2, D2, [0, 1])
     rep = check_skeletal_system(limit_space(ident))
     assert rep.proposition_holds and all(rep.bond_skeletal.values())
+    assert rep.projection_skeletal == {0: True, 1: True}
 
     non_skel = two_node_system(SIERP, D2, [0, 1])  # discrete-2 onto Sierpinski
     rep2 = check_skeletal_system(limit_space(non_skel))
     assert rep2.bond_skeletal[(0, 1)] is False
-    assert not rep2.hypothesis_holds
+    assert rep2.projection_skeletal == {0: False, 1: True}
+    assert not rep2.hypothesis_holds and rep2.proposition_holds is None
 
 
 def test_skeletal_proposition_seeded():
