@@ -10,12 +10,16 @@ checks any finite-state strategy against every possible opponent.
 Strategies are deterministic finite-state transducers.  A strategy
 closure replays transducers over tuples of family members, so it
 terminates inside the finite powerset.  The club member of a clopen
-seed is the clopen algebra, built outright.
+seed is the clopen algebra, built outright.  Against the small Player II
+transducers a strategy is played once per distinct line: a play reads
+only a few table entries, and every transducer that agrees on those
+entries plays the same line.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -41,8 +45,9 @@ __all__ = [
     "closure_under_strategies",
     "build_tclub_member",
     "check_condition_S",
-    "enumerate_ii_strategies",
     "count_ii_strategies",
+    "transducer_plays",
+    "transducers_reading",
 ]
 
 # verify_winning raises StateOverflow after exploring this many nodes.
@@ -145,15 +150,13 @@ class MinimalReplyStrategy(Strategy):
         return 0
 
     def step(self, state, observed):
-        fits = [m for m in self._minimal if m & ~observed == 0]
-        if fits:
-            return min(fits), 0
-        return observed, 0
+        return min(m for m in self._minimal if m & ~observed == 0), 0
 
 
 class TableStrategy(Strategy):
     """Explicit transducer given by a (state, observed) -> (move, state)
-    table.  Serves both players; enumerated opponents use it."""
+    table.  Serves both players; the small Player II transducers are
+    tables, and ``transducer_plays`` plays partial ones."""
 
     kind = "table"
 
@@ -468,10 +471,12 @@ def check_condition_S(family: OpenFamily) -> tuple[bool, int | None]:
     return is_skeletal_family(family)
 
 
-# -- opponent enumeration ------------------------------------------------
+# -- small Player II transducers ------------------------------------------
 
 
 def _ii_option_space(space: FiniteSpace, n_states: int):
+    """Every table key (state, offer) in enumeration order, with its
+    options (reply, next state); options ascend, because opens do."""
     keys = []
     options = []
     for s in range(n_states):
@@ -484,15 +489,57 @@ def _ii_option_space(space: FiniteSpace, n_states: int):
 
 def count_ii_strategies(space: FiniteSpace, n_states: int) -> int:
     _, options = _ii_option_space(space, n_states)
-    total = 1
-    for opts in options:
-        total *= len(opts)
-    return total
+    return math.prod(map(len, options))
 
 
-def enumerate_ii_strategies(space: FiniteSpace, n_states: int) -> Iterator[TableStrategy]:
-    """All Player II transducers with exactly the given number of states."""
+class _Unread(Exception):
+    """A partial transducer table met a key it has no entry for."""
+
+
+class _PartialTable(dict):
+    def __missing__(self, key):
+        raise _Unread(key)
+
+
+def transducer_plays(
+    space: FiniteSpace, strategy: Strategy, n_states: int
+) -> Iterator[tuple[Transcript, dict, int]]:
+    """Each distinct play of ``strategy`` against the Player II
+    transducers with ``n_states`` states, depth first, as the transcript,
+    the table entries the play read and how many transducers play it.
+
+    ``play`` runs against a partial table, which stops at the first key
+    it has no entry for; the play is then replayed from the start once
+    per option of that key.  A play that finishes read only the entries
+    of its table, so every transducer agreeing on them plays it: their
+    count is the product of the option counts of the unread keys.
+    """
     keys, options = _ii_option_space(space, n_states)
-    for combo in itertools.product(*options):
-        table = dict(zip(keys, combo))
-        yield TableStrategy("II", 0, table)
+    options_at = dict(zip(keys, options))
+    stack: list[dict] = [{}]
+    while stack:
+        read = stack.pop()
+        try:
+            t = play(space, strategy, TableStrategy("II", 0, _PartialTable(read)))
+        except _Unread as miss:
+            key = miss.args[0]
+            stack.extend({**read, key: opt} for opt in reversed(options_at[key]))
+            continue
+        count = math.prod(len(opts) for k, opts in options_at.items() if k not in read)
+        yield t, read, count
+
+
+def transducers_reading(
+    space: FiniteSpace, n_states: int, reads: Iterable[dict]
+) -> Iterator[TableStrategy]:
+    """The Player II transducers with ``n_states`` states whose tables
+    hold every entry of one of ``reads`` (the reads of distinct lines),
+    in enumeration order: the product of the option lists, first key
+    slowest.  Options ascend, so that is the order of the entry tuples."""
+    keys, options = _ii_option_space(space, n_states)
+    combos = []
+    for read in reads:
+        pinned = [[read[k]] if k in read else opts for k, opts in zip(keys, options)]
+        combos.extend(itertools.product(*pinned))
+    for combo in sorted(combos):
+        yield TableStrategy("II", 0, dict(zip(keys, combo)))

@@ -28,10 +28,11 @@ from .game import (
     check_condition_S,
     closure_under_strategies,
     count_ii_strategies,
-    enumerate_ii_strategies,
     minimal_open_strategy,
     play,
     solve_open_open,
+    transducer_plays,
+    transducers_reading,
     verify_winning,
 )
 from .randgen import (
@@ -74,8 +75,8 @@ class SuiteReport:
     counts: dict = field(default_factory=dict)
     violations: list = field(default_factory=list)
 
-    def check(self, ok: bool, prop: str, witness) -> None:
-        self.cases_run += 1
+    def check(self, ok: bool, prop: str, witness, cases: int = 1) -> None:
+        self.cases_run += cases
         if not ok:
             self.violations.append({"property": prop, "witness": witness})
 
@@ -455,7 +456,9 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
         )
     rep.counts["solver_closure_samples"] = closure_samples
 
-    # play against every small opponent transducer
+    # play against every small opponent transducer: each distinct line
+    # once for all the transducers that play it, and a failing line once
+    # per transducer, in enumeration order
     vs_count = 0
     for space in all_spaces(min(3, max_points), min_points=1):
         tag = _space_tag(space)
@@ -463,19 +466,23 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
         for states in (1, 2):
             if count_ii_strategies(space, states) > 3000:
                 continue
-            for opp in enumerate_ii_strategies(space, states):
-                t = play(space, sol.strategy, opp)
+            failing = []
+            for t, read, count in transducer_plays(space, sol.strategy, states):
                 progress = sum(
                     1
                     for k, c in enumerate(t.covered)
                     if c != (t.covered[k - 1] if k else 0)
                 )
-                vs_count += 1
-                won = t.outcome == "I-wins" and progress <= space.point_count
+                vs_count += count
+                if t.outcome == "I-wins" and progress <= space.point_count:
+                    rep.check(True, "solver_beats_small_transducers", None, cases=count)
+                else:
+                    failing.append(read)
+            for opp in transducers_reading(space, states, failing):
                 rep.check(
-                    won,
+                    False,
                     "solver_beats_small_transducers",
-                    None if won else [tag, states, jsonio.encode_strategy(opp)["table"][:4]],
+                    [tag, states, jsonio.encode_strategy(opp)["table"][:4]],
                 )
     rep.counts["opponents_played"] = vs_count
     return rep

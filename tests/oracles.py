@@ -4,7 +4,8 @@ Everything here recomputes a result by a different route than the library
 takes, so agreement means something.  Keep these dumb and direct.
 """
 
-from typing import Iterable
+import itertools
+from typing import Iterable, Iterator
 
 from topolab.errors import EmptySpace, InvalidSystem, NotAChain, NotDirected, StateOverflow
 from topolab.families import OpenFamily, ring_closure
@@ -12,6 +13,7 @@ from topolab.game import (
     GameSolution,
     PlayTrace,
     Strategy,
+    TableStrategy,
     VerifyResult,
     closure_under_strategies,
     solve_open_open,
@@ -387,6 +389,17 @@ class LeastReplyStrategy(Strategy):
     def step(self, state, observed):
         reply = min(b for b in self.space.nonempty_opens() if b & ~observed == 0)
         return reply, 0
+
+
+def enumerate_ii_strategies(space: FiniteSpace, n_states: int) -> Iterator[TableStrategy]:
+    """All Player II transducers with exactly the given number of states:
+    every table from (state, offer) to (reply inside the offer, next
+    state), as the product of the option lists, first key slowest."""
+    opens = space.nonempty_opens()
+    keys = [(s, a) for s in range(n_states) for a in opens]
+    options = [[(b, t) for b in opens if b & ~a == 0 for t in range(n_states)] for _, a in keys]
+    for combo in itertools.product(*options):
+        yield TableStrategy("II", 0, dict(zip(keys, combo)))
 
 
 def poset_order_by_pair_loops(n: int, leq) -> frozenset:

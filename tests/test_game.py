@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,10 +15,11 @@ from topolab.game import (
     check_condition_S,
     closure_under_strategies,
     count_ii_strategies,
-    enumerate_ii_strategies,
     minimal_open_strategy,
     play,
     solve_open_open,
+    transducer_plays,
+    transducers_reading,
     verify_winning,
 )
 from topolab.randgen import (
@@ -36,6 +38,7 @@ from oracles import (
     apply_history,
     club_by_strategy_closure,
     default_first_move,
+    enumerate_ii_strategies,
     seq_witness_strategies,
     solve_by_full_scan,
     verify_by_colors,
@@ -199,6 +202,15 @@ def test_play_rejects_illegal_moves():
     space = FiniteSpace.sierpinski()
     with pytest.raises(IllegalMove):
         play(space, BadI(space, [0b10]), EchoStrategy())
+
+
+@pytest.mark.parametrize("move", [0, 0b01])
+def test_play_rejects_a_bad_offer_before_the_minimal_reply(move):
+    # the minimal reply has no fallback: an empty or non-open offer never
+    # reaches it
+    space = FiniteSpace.sierpinski()
+    with pytest.raises(IllegalMove, match="Player I"):
+        play(space, RoundRobinStrategy(space, [move]), MinimalReplyStrategy(space))
 
 
 def test_play_against_echo_and_minimal_replies():
@@ -401,3 +413,33 @@ def test_solver_beats_every_tiny_transducer():
                     if c != (t.covered[k - 1] if k else 0)
                 )
                 assert progress <= space.point_count
+
+
+def test_transducer_plays_match_every_enumerated_opponent():
+    # each distinct line, weighted by its count, against one play per
+    # enumerated opponent, on every space of 1-3 points under the cap; the
+    # transducers reading the lines' entries are the enumeration, in order
+    lines = opponents = 0
+    for space in all_spaces(3, min_points=1):
+        sol = solve_open_open(space)
+        for states in (1, 2):
+            total = count_ii_strategies(space, states)
+            if total > 3000:
+                continue
+            weighted = Counter()
+            reads = []
+            for t, read, count in transducer_plays(space, sol.strategy, states):
+                weighted[t.rounds, t.outcome] += count
+                reads.append(read)
+            assert sum(weighted.values()) == total
+            played = Counter()
+            tables = []
+            for opp in enumerate_ii_strategies(space, states):
+                t = play(space, sol.strategy, opp)
+                played[t.rounds, t.outcome] += 1
+                tables.append(opp.table)
+            assert weighted == played
+            assert [opp.table for opp in transducers_reading(space, states, reads)] == tables
+            lines += len(reads)
+            opponents += total
+    assert (lines, opponents) == (84, 17_172)

@@ -7,8 +7,12 @@ import dataclasses
 
 import pytest
 
-from topolab import suites
+from topolab import jsonio, suites
+from topolab.enumeration import all_spaces
+from topolab.game import count_ii_strategies, play
 from topolab.spaces import FiniteSpace
+
+from oracles import enumerate_ii_strategies
 
 
 def always_completely_regular(monkeypatch):
@@ -34,9 +38,30 @@ def skeletal_family_skipping_last_row(monkeypatch):
     monkeypatch.setattr(suites, "is_skeletal_family", mutant)
 
 
+def solver_accepting_replies_that_do_not_grow(monkeypatch):
+    """The solved table plays the least nonempty open not inside the
+    covered set, so a reply inside the covered set does not grow it."""
+    real = suites.solve_open_open
+
+    def mutant(space):
+        sol = real(space)
+        table = {
+            s: (status, next((a for a in space.nonempty_opens() if a & ~s), None))
+            for s, (status, _) in sol.table.items()
+        }
+        return dataclasses.replace(sol, table=table)
+
+    monkeypatch.setattr(suites, "solve_open_open", mutant)
+
+
 MUTANTS = [
     (always_completely_regular, suites.quotient_suite, "completely_regular_oracle"),
     (skeletal_family_skipping_last_row, suites.quotient_suite, "skeletal_family_iff_map"),
+    (
+        solver_accepting_replies_that_do_not_grow,
+        suites.game_suite,
+        "solver_beats_small_transducers",
+    ),
 ]
 
 
@@ -47,3 +72,28 @@ def test_mutant_violates_its_property(monkeypatch, plant, suite, prop):
     plant(monkeypatch)
     rep = suite(max_points=3, samples=0, seed=0)
     assert any(v["property"] == prop for v in rep.violations)
+
+
+def test_transducer_violations_match_playing_every_opponent(monkeypatch):
+    # under a planted fault the suite lists one violation per losing
+    # opponent, in enumeration order, as one play per opponent does
+    solver_accepting_replies_that_do_not_grow(monkeypatch)
+    rep = suites.game_suite(max_points=3, samples=0, seed=0)
+    prop = "solver_beats_small_transducers"
+    expected = []
+    for space in all_spaces(3, min_points=1):
+        tag = jsonio.encode_space(space)["opens"]
+        sol = suites.solve_open_open(space)
+        for states in (1, 2):
+            if count_ii_strategies(space, states) > 3000:
+                continue
+            for opp in enumerate_ii_strategies(space, states):
+                t = play(space, sol.strategy, opp)
+                progress = len(set(t.covered))  # covered sets only grow
+                if t.outcome != "I-wins" or progress > space.point_count:
+                    witness = [tag, states, jsonio.encode_strategy(opp)["table"][:4]]
+                    expected.append({"property": prop, "witness": witness})
+    assert [v for v in rep.violations if v["property"] == prop] == expected
+    assert len(expected) == 30
+    assert sum(v["property"] == "solver_strategy_verified" for v in rep.violations) == 2
+    assert rep.counts["opponents_played"] == 17_172
