@@ -26,6 +26,7 @@ from .families import (
     Quotient,
     build_quotient,
     classes_of,
+    families_from_map,
     family_from_map,
     is_skeletal_family,
     ring_closure,

@@ -14,10 +14,10 @@ raw masks, and each builds the family exactly once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import NotAPiBase, NotContinuous
-from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis
+from .spaces import FiniteSpace, SpaceMap, bits_of
 
 __all__ = [
     "OpenFamily",
@@ -29,6 +29,7 @@ __all__ = [
     "ring_closure",
     "is_skeletal_family",
     "family_from_map",
+    "families_from_map",
 ]
 
 
@@ -124,30 +125,45 @@ class Quotient:
 
 
 def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
-    """Quotient of ``space`` by the family of the open masks ``members``."""
+    """Quotient of ``space`` by the family of the open masks ``members``.
+
+    One pass over the members: a member's image is the classes it meets,
+    and that image is ANDed into the row of each of its classes, so each
+    row ends as the meet of the images holding its class, the full set if
+    none does, as in ``from_subbasis``.  That function stays the quotient
+    topology's definition: ``test_image_is_base_against_oracle_exhaustive``
+    in ``tests/test_families.py`` checks every quotient on at most 3 points
+    against it and against an oracle.  The identity test reads the same pass: the classes a member
+    meets are the fibers of ``assign`` over its image, so their union is
+    the image's preimage.
+    """
     fam = OpenFamily.of(space, members)
-    members = fam.members
     classes = classes_of(fam)
     assign = [0] * space.point_count
     for idx, c in enumerate(classes):
         for x in bits_of(c):
             assign[x] = idx
-    # Each member is a union of classes: its image is the classes it meets.
-    images = []
-    for m in members:
-        img = 0
+    rows = [(1 << len(classes)) - 1] * len(classes)
+    images = set()
+    identity = True
+    for m in fam.members:
+        img = pre = 0
+        hit = []
         for idx, c in enumerate(classes):
             if c & m:
                 img |= 1 << idx
-        images.append(img)
-    qspace = from_subbasis(len(classes), images)
+                pre |= c
+                hit.append(idx)
+        for idx in hit:
+            rows[idx] &= img
+        images.add(img)
+        identity = identity and pre == m
+    qspace = FiniteSpace._from_closed_rows(rows)
     qmap = SpaceMap(space, qspace, assign)
-    identity = all(qmap.preimage_of(img) == m for m, img in zip(members, images))
     continuous = qmap.is_continuous()
     # An open image containing c contains c's row, so the images inside
     # that row cover c only if one of them equals it.
-    image_set = set(images)
-    base = all(r in image_set for r in qspace.rows)
+    base = all(r in images for r in qspace.rows)
     return Quotient(
         space=space,
         family=fam,
@@ -243,19 +259,37 @@ def is_skeletal_family(family: OpenFamily) -> tuple[bool, int | None]:
     return True, None
 
 
-def family_from_map(space_map: SpaceMap, pibase: Iterable[int]) -> OpenFamily:
-    """Preimages of a pi-base of the codomain, as a family over the domain."""
+def families_from_map(
+    space_map: SpaceMap, pibases: Iterable[Iterable[int]]
+) -> Iterator[OpenFamily]:
+    """The preimage family of each pi-base of the codomain, in order.
+
+    Continuity is checked once, before the first family, and the
+    codomain's minimal opens are read once.  Each pi-base is checked as
+    it comes, so the families before an invalid one are yielded first.
+    Each codomain open's preimage is taken once per call.
+    """
     if not space_map.is_continuous():
         raise NotContinuous("preimage family needs a continuous map")
     cod = space_map.codomain
-    members = {int(v) for v in pibase}
-    if not all(v and cod.is_open(v) for v in members):
-        raise NotAPiBase("pi-base members must be nonempty opens")
-    # The only nonempty open inside a minimal open is itself, and every
-    # nonempty open holds a minimal open no larger than itself, so the
-    # least open holding no member is the least minimal open left out.
-    for m in cod.minimal_open_family():
-        if m not in members:
-            raise NotAPiBase("open %r contains no pi-base member" % m)
-    return OpenFamily.of(space_map.domain, (space_map.preimage_of(v) for v in members))
+    minimal = cod.minimal_open_family()
+    preimages: dict[int, int] = {}
+    for pibase in pibases:
+        members = {int(v) for v in pibase}
+        if not all(v and cod.is_open(v) for v in members):
+            raise NotAPiBase("pi-base members must be nonempty opens")
+        # The only nonempty open inside a minimal open is itself, and every
+        # nonempty open holds a minimal open no larger than itself, so the
+        # least open holding no member is the least minimal open left out.
+        for m in minimal:
+            if m not in members:
+                raise NotAPiBase("open %r contains no pi-base member" % m)
+        for v in members - preimages.keys():
+            preimages[v] = space_map.preimage_of(v)
+        yield OpenFamily.of(space_map.domain, (preimages[v] for v in members))
 
+
+def family_from_map(space_map: SpaceMap, pibase: Iterable[int]) -> OpenFamily:
+    """Preimages of a pi-base of the codomain, as a family over the domain:
+    the one-pi-base case of ``families_from_map``."""
+    return next(families_from_map(space_map, [pibase]))

@@ -96,6 +96,9 @@ class FiniteSpace:
     - ``from_subbasis``: rows[x], the meet of the generators holding x,
       holds x, and each y in it has every such generator, so rows[y] is
       inside rows[x];
+    - ``families.build_quotient``, for the same reason: the row of a class
+      is the meet of the member images holding that class, so it holds
+      the class, and each class in it lies in every such image;
     - ``enumeration.all_topologies``: ``preorders`` yields only reflexive
       transitive rows.
     """

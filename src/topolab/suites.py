@@ -16,7 +16,7 @@ from .errors import NonSkeletalBond
 from .families import (
     OpenFamily,
     build_quotient,
-    family_from_map,
+    families_from_map,
     is_skeletal_family,
     ring_closure,
     seq_family,
@@ -286,8 +286,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
                 surjection_count += 1
                 tag = [dom_tag, cod_tag, list(assign)]
                 skel = m.is_skeletal()
-                for pibase in pibases:
-                    fam = family_from_map(m, pibase)
+                for pibase, fam in zip(pibases, families_from_map(m, pibases)):
                     ok, _ = is_skeletal_family(fam)
                     rep.check(
                         ok == skel,

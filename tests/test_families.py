@@ -8,6 +8,7 @@ from topolab.families import (
     OpenFamily,
     build_quotient,
     classes_of,
+    families_from_map,
     family_from_map,
     is_skeletal_family,
     ring_closure,
@@ -15,7 +16,7 @@ from topolab.families import (
     seq_family_bruteforce,
 )
 from topolab.randgen import random_family, random_space, rng_for
-from topolab.spaces import FiniteSpace, SpaceMap
+from topolab.spaces import FiniteSpace, SpaceMap, from_subbasis
 
 from oracles import (
     all_surjections,
@@ -23,6 +24,7 @@ from oracles import (
     classes_by_signature,
     every_family,
     kolmogorov_quotient,
+    pi_bases_by_filter,
     least_open_without_member,
     skeletal_family_by_opens,
     subbasis_by_meets_and_unions,
@@ -108,6 +110,8 @@ def test_image_is_base_against_oracle_exhaustive():
         for members in every_family(space):
             q = build_quotient(space, members)
             images = [q.map.image_of(m) for m in members]
+            # from_subbasis stays the definition of the quotient topology
+            assert q.quotient_space == from_subbasis(len(q.classes), images)
             assert q.quotient_space == subbasis_by_meets_and_unions(len(q.classes), images)
             assert q.image_is_base == base_by_unions_below(q.quotient_space, images)
             seen.add(q.image_is_base)
@@ -257,6 +261,49 @@ def test_skeletal_family_iff_skeletal_map_exhaustive():
                 for pibase in pi_bases(cod):
                     fam = family_from_map(m, pibase)
                     assert is_skeletal_family(fam)[0] == skel
+
+
+def test_families_from_map_match_one_call_per_pi_base():
+    maps = checked = 0
+    for dom in all_spaces(3, min_points=1):
+        for cod in all_spaces(3, min_points=1):
+            if cod.point_count > dom.point_count:
+                continue
+            pibases = list(pi_bases_by_filter(cod))
+            for m in all_surjections(dom, cod):
+                if not m.is_continuous():
+                    continue
+                maps += 1
+                fams = list(families_from_map(m, pibases))
+                assert len(fams) == len(pibases)
+                for pibase, fam in zip(pibases, fams):
+                    one = family_from_map(m, pibase)
+                    assert fam.space is dom and fam.members == one.members
+                    assert is_skeletal_family(fam) == is_skeletal_family(one)
+                    checked += 1
+    assert maps > 100 and checked > maps
+
+
+def test_families_from_map_raise_before_the_first_family():
+    gen = families_from_map(SpaceMap(SIERP, D2, [0, 1]), [[0b01, 0b10]])
+    with pytest.raises(NotContinuous, match="preimage family needs a continuous map"):
+        next(gen)
+
+
+def test_families_from_map_raise_at_the_first_invalid_pi_base():
+    for space in all_spaces(3, min_points=1):
+        identity = SpaceMap.identity(space)
+        valid = list(pi_bases_by_filter(space))
+        minimal = valid[0]  # every pi-base holds the minimal opens
+        for bad in (minimal + [0], minimal[1:]):
+            with pytest.raises(NotAPiBase) as one:
+                family_from_map(identity, bad)
+            gen = families_from_map(identity, valid + [bad] + valid)
+            for pibase in valid:
+                assert next(gen).members == frozenset(pibase)
+            with pytest.raises(NotAPiBase) as many:
+                next(gen)
+            assert str(many.value) == str(one.value)
 
 
 def test_skeletal_maps_pull_dense_opens_to_dense():

@@ -38,6 +38,15 @@ def skeletal_family_skipping_last_row(monkeypatch):
     monkeypatch.setattr(suites, "is_skeletal_family", mutant)
 
 
+def is_dense_ignoring_last_row(monkeypatch):
+    """``FiniteSpace.is_dense`` never tests the last row."""
+
+    def mutant(space, mask):
+        return all(row & mask for row in space.rows[:-1])
+
+    monkeypatch.setattr(FiniteSpace, "is_dense", mutant)
+
+
 def solver_accepting_replies_that_do_not_grow(monkeypatch):
     """The solved table plays the least nonempty open not inside the
     covered set, so a reply inside the covered set does not grow it."""
@@ -57,6 +66,7 @@ def solver_accepting_replies_that_do_not_grow(monkeypatch):
 MUTANTS = [
     (always_completely_regular, suites.quotient_suite, "completely_regular_oracle"),
     (skeletal_family_skipping_last_row, suites.quotient_suite, "skeletal_family_iff_map"),
+    (is_dense_ignoring_last_row, suites.quotient_suite, "skeletal_dense_preimage"),
     (
         solver_accepting_replies_that_do_not_grow,
         suites.game_suite,

@@ -3,7 +3,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from topolab.enumeration import all_spaces, all_topologies, opens_families_bruteforce
+from topolab.enumeration import (
+    all_spaces,
+    all_topologies,
+    count_topologies_bruteforce,
+    opens_families_bruteforce,
+)
 from topolab.errors import NotABase, NotContinuous, NotSurjective
 from topolab.randgen import random_space, rng_for
 from topolab.spaces import FiniteSpace, SpaceMap, frink_conditions, from_subbasis
@@ -17,6 +22,7 @@ from oracles import (
     interior_by_definition,
     least_open_not_a_union,
     open_by_images,
+    opens_families_by_raw_filter,
     separation_flags_by_definition,
     skeletal_witness_by_opens,
     subbasis_by_meets_and_unions,
@@ -357,9 +363,11 @@ def test_minimal_neighborhood_is_least_and_pi_base():
 
 
 def test_preorder_enumeration_matches_bruteforce_small():
-    for n in range(4):
+    for n in range(5):
         via_preorders = {frozenset(s.opens) for s in all_topologies(n)}
-        assert via_preorders == opens_families_bruteforce(n)
+        assert via_preorders == opens_families_bruteforce(n) == opens_families_by_raw_filter(n)
+    # A000798: 6,942 topologies on 5 labeled points
+    assert count_topologies_bruteforce(5) == 6942 == len(list(all_topologies(5)))
 
 
 def test_empty_space():
