@@ -201,28 +201,30 @@ def solve_open_open(space: FiniteSpace) -> GameSolution:
     set.  A move allowing a reply with S union B equal to S is rejected:
     the opponent could repeat that reply forever.  Strict growth bounds
     every play by the point count, so the recursion is well founded; the
-    adversarial verifier double-checks the synthesized strategy.
+    adversarial verifier double-checks the synthesized strategy.  Covered
+    sets are open, so a covered set is dense when it holds the dense core.
     """
     if space.point_count == 0:
         raise EmptySpace("the game needs at least one point")
+    core = space.dense_core()
+    inside = space.opens_inside
     moves = space.nonempty_opens()
     table: dict[int, tuple[str, int | None]] = {}
     # Largest covered sets first; the stable sort keeps equal sizes ascending.
     for s in sorted(space.opens, key=int.bit_count, reverse=True):
-        if space.is_dense(s):
+        if s & core == core:
             table[s] = ("dense", None)
             continue
         chosen = None
         for a in moves:
-            ok = True
-            for b in moves:
-                if b & ~a:
-                    continue
-                s2 = s | b
-                if s2 == s or table[s2][0] == "lose":
-                    ok = False
+            # A move meeting s allows the reply a & s, which does not grow
+            # s; every reply to a move missing s grows it.
+            if a & s:
+                continue
+            for b in inside(a):
+                if table[s | b][0] == "lose":
                     break
-            if ok:
+            else:
                 chosen = a
                 break
         table[s] = ("win", chosen) if chosen is not None else ("lose", None)
@@ -284,16 +286,8 @@ def verify_winning(space: FiniteSpace, strategy: Strategy) -> VerifyResult:
     """
     if space.point_count == 0:
         return VerifyResult(True, None, 0)
-    moves = space.nonempty_opens()
-    replies_cache: dict[int, tuple[int, ...]] = {}
-
-    def replies(a: int) -> tuple[int, ...]:
-        got = replies_cache.get(a)
-        if got is None:
-            got = tuple(b for b in moves if b & ~a == 0)
-            replies_cache[a] = got
-        return got
-
+    core = space.dense_core()
+    replies = space.opens_inside
     move0, st0 = strategy.step(strategy.initial_state(), None)
     if not move0 or not space.is_open(move0):
         return VerifyResult(False, PlayTrace(rounds=(), loop_start=None), 0)
@@ -314,7 +308,7 @@ def verify_winning(space: FiniteSpace, strategy: Strategy) -> VerifyResult:
             if nodes > VERIFY_NODE_LIMIT:
                 raise StateOverflow("verification exceeded %d nodes" % VERIFY_NODE_LIMIT)
             cov2 = covered | b
-            if space.is_dense(cov2):
+            if cov2 & core == core:  # cov2 is open
                 continue
             move2, st2 = strategy.step(st, b)
             child = (st2, move2, cov2)
@@ -481,9 +475,8 @@ def _ii_option_space(space: FiniteSpace, n_states: int):
     options = []
     for s in range(n_states):
         for a in space.nonempty_opens():
-            legal = [b for b in space.nonempty_opens() if b & ~a == 0]
             keys.append((s, a))
-            options.append([(b, t) for b in legal for t in range(n_states)])
+            options.append([(b, t) for b in space.opens_inside(a) for t in range(n_states)])
     return keys, options
 
 

@@ -5,9 +5,11 @@ means point i is in).  A finite topology is its specialization preorder
 (Stong 1966): ``rows[x]`` is the least open containing x, the up-set of x.
 A space keeps those rows and its sorted opens, their union closure.  The
 rows form a base, so interior, closure, separation axioms, generated
-topologies, skeletality and map continuity and openness all read them;
-only ``clopens`` and ``nonempty_opens`` list the opens.  Every value is
-immutable after construction and safe to share.
+topologies, skeletality and map continuity and openness all read them.
+``clopens``, ``nonempty_opens`` and ``opens_inside`` list the opens.  The
+minimal opens, the dense core and the opens inside a set are derived once,
+on first use, and kept; every value is immutable after construction apart
+from those kept facts, and safe to share.
 """
 
 from __future__ import annotations
@@ -101,9 +103,17 @@ class FiniteSpace:
       the class, and each class in it lies in every such image;
     - ``enumeration.all_topologies``: ``preorders`` yields only reflexive
       transitive rows.
+
+    Three derived facts are computed on first use and kept in slots that
+    ``__init__`` sets to None, so construction pays nothing for them and
+    equality and hashing ignore them: ``_minimal`` for
+    ``minimal_open_family``, ``_core`` for ``dense_core`` and ``_inside``,
+    a dict filled per set, for ``opens_inside``.
     """
 
-    __slots__ = ("point_count", "full", "opens", "_open_set", "rows")
+    __slots__ = (
+        "point_count", "full", "opens", "_open_set", "rows", "_minimal", "_core", "_inside",
+    )
 
     def __init__(
         self, point_count: int, opens: Iterable[int], *, _rows: tuple[int, ...] | None = None
@@ -138,6 +148,9 @@ class FiniteSpace:
         self.opens = tuple(sorted(open_set))
         self._open_set = open_set
         self.rows = _rows
+        self._minimal = None
+        self._core = None
+        self._inside = None
 
     # -- constructors --------------------------------------------------
 
@@ -236,17 +249,57 @@ class FiniteSpace:
         return self.rows[x]
 
     def minimal_open_family(self) -> tuple[int, ...]:
-        """The inclusion-minimal rows.
+        """The inclusion-minimal rows, ascending.
 
         In a finite space these form a pi-base: every nonempty open
-        contains one of them.
+        contains one of them.  A row is minimal exactly when every point
+        in it has that same row: each such point's row lies inside it,
+        and a smaller row would hold a point whose row is smaller.
         """
-        distinct = sorted(set(self.rows))
-        keep = []
-        for m in distinct:
-            if not any(o != m and o & ~m == 0 for o in distinct):
-                keep.append(m)
-        return tuple(keep)
+        if self._minimal is None:
+            rows = self.rows
+            keep = []
+            for r in set(rows):
+                m = r
+                while m:
+                    low = m & -m
+                    if rows[low.bit_length() - 1] != r:
+                        break
+                    m ^= low
+                else:
+                    keep.append(r)
+            keep.sort()
+            self._minimal = tuple(keep)
+        return self._minimal
+
+    def dense_core(self) -> int:
+        """The points whose row is their own class: every y in rows[x]
+        has x in rows[y].  These are the points of the minimal opens, so
+        an open set is dense exactly when it holds all of them (an open
+        meeting a minimal open holds it, and every row holds one)."""
+        if self._core is None:
+            rows = self.rows
+            core = 0
+            for x, row in enumerate(rows):
+                m = row
+                while m:
+                    low = m & -m
+                    if not (rows[low.bit_length() - 1] >> x) & 1:
+                        break
+                    m ^= low
+                else:
+                    core |= 1 << x
+            self._core = core
+        return self._core
+
+    def opens_inside(self, mask: int) -> tuple[int, ...]:
+        """The nonempty opens inside mask, ascending; kept per mask."""
+        if self._inside is None:
+            self._inside = {}
+        got = self._inside.get(mask)
+        if got is None:
+            got = self._inside[mask] = tuple([o for o in self.opens[1:] if not o & ~mask])
+        return got
 
     def clopens(self) -> tuple[int, ...]:
         full = self.full
@@ -485,11 +538,12 @@ class SpaceMap:
             raise NotSurjective("skeletality is defined for surjections only")
         # Each nonempty open contains a row no larger than itself, and a
         # subset of a violating open violates too, so the least violating
-        # open is a row.
-        cod = self.codomain
+        # open is a row.  The closure of a set has nonempty interior
+        # exactly when the set meets a minimal open, i.e. the dense core.
+        core = self.codomain.dense_core()
         witness = None
         for u in sorted(set(self.domain.rows)):
-            if cod.interior(cod.closure(self.image_of(u))) == 0:
+            if not self.image_of(u) & core:
                 witness = u
                 break
         self._skeletal = witness

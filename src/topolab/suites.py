@@ -273,12 +273,16 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
 
     # skeletal suite: maps vs families, dense preimages, open implies skeletal
     surjection_count = 0
-    codomains = [(cod, _space_tag(cod), list(_pi_bases(cod))) for cod in small if cod.point_count]
+    codomains = [
+        (cod, _space_tag(cod), list(_pi_bases(cod)), [v for v in cod.opens if cod.is_dense(v)])
+        for cod in small
+        if cod.point_count
+    ]
     for dom in small:
         if dom.point_count == 0:
             continue
         dom_tag = _space_tag(dom)
-        for cod, cod_tag, pibases in codomains:
+        for cod, cod_tag, pibases, dense_opens in codomains:
             if cod.point_count > dom.point_count:
                 continue
             for assign in _continuous_surjections(dom, cod):
@@ -294,13 +298,12 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
                         tag + [sorted(pibase)],
                     )
                 if skel:
-                    for v in cod.opens:
-                        if cod.is_dense(v):
-                            rep.check(
-                                dom.is_dense(m.preimage_of(v)),
-                                "skeletal_dense_preimage",
-                                tag + [v],
-                            )
+                    for v in dense_opens:
+                        rep.check(
+                            dom.is_dense(m.preimage_of(v)),
+                            "skeletal_dense_preimage",
+                            tag + [v],
+                        )
                 if m.is_open_map():
                     rep.check(
                         skel,

@@ -32,6 +32,13 @@ def closure_by_closed_scan(space: FiniteSpace, s: int) -> int:
     return out
 
 
+def minimal_opens_by_pairs(space: FiniteSpace) -> tuple[int, ...]:
+    """The distinct rows with no other row inside them, by comparing every
+    pair of rows."""
+    distinct = sorted(set(space.rows))
+    return tuple(m for m in distinct if not any(o != m and o & ~m == 0 for o in distinct))
+
+
 def interior_by_definition(space: FiniteSpace, s: int) -> int:
     """Largest open subset, by unioning all open subsets."""
     out = 0

@@ -63,6 +63,31 @@ def solver_accepting_replies_that_do_not_grow(monkeypatch):
     monkeypatch.setattr(suites, "solve_open_open", mutant)
 
 
+def minimal_open_family_dropping_its_last_member(monkeypatch):
+    """``FiniteSpace.minimal_open_family`` leaves out its last member when
+    it has two or more, so the round robin of the minimal opens misses
+    one.  The verifier reads density off the dense core, not off this
+    family, so it must see the round robin fail."""
+    real = FiniteSpace.minimal_open_family
+
+    def mutant(space):
+        return real(space)[:-1] or real(space)
+
+    monkeypatch.setattr(FiniteSpace, "minimal_open_family", mutant)
+
+
+def dense_core_dropping_its_highest_point(monkeypatch):
+    """``FiniteSpace.dense_core`` leaves out its highest point, so the
+    solver takes some covered sets that miss a minimal open for dense."""
+    real = FiniteSpace.dense_core
+
+    def mutant(space):
+        core = real(space)
+        return core & ~(1 << (core.bit_length() - 1)) if core else core
+
+    monkeypatch.setattr(FiniteSpace, "dense_core", mutant)
+
+
 MUTANTS = [
     (always_completely_regular, suites.quotient_suite, "completely_regular_oracle"),
     (skeletal_family_skipping_last_row, suites.quotient_suite, "skeletal_family_iff_map"),
@@ -72,6 +97,12 @@ MUTANTS = [
         suites.game_suite,
         "solver_beats_small_transducers",
     ),
+    (
+        minimal_open_family_dropping_its_last_member,
+        suites.game_suite,
+        "minimal_open_strategy_verified",
+    ),
+    (dense_core_dropping_its_highest_point, suites.game_suite, "solver_beats_small_transducers"),
 ]
 
 

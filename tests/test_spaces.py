@@ -21,6 +21,7 @@ from oracles import (
     image_by_bits,
     interior_by_definition,
     least_open_not_a_union,
+    minimal_opens_by_pairs,
     open_by_images,
     opens_families_by_raw_filter,
     separation_flags_by_definition,
@@ -110,6 +111,43 @@ def test_density_against_closed_scan_all_small_spaces():
     for space in all_spaces(4):
         for s in range(space.full + 1):
             assert space.is_dense(s) == (closure_by_closed_scan(space, s) == space.full)
+
+
+def _core_decides_density(space, core):
+    full = space.full
+    return all(
+        (o & core == core) == (closure_by_closed_scan(space, o) == full) for o in space.opens
+    )
+
+
+def test_dense_core_decides_density_of_opens_with_a_negative_control():
+    caught = 0
+    for space in all_spaces(4):
+        core = space.dense_core()
+        assert _core_decides_density(space, core)
+        # Dropping a point p from the core goes unseen exactly when another
+        # point shares p's row: an open holding that point holds the row.
+        for p in range(space.point_count):
+            if (core >> p) & 1:
+                alone = space.rows[p] == 1 << p
+                assert _core_decides_density(space, core & ~(1 << p)) != alone
+                caught += alone
+    assert caught > 0
+
+
+def test_minimal_open_family_against_pairwise_rule():
+    for space in all_spaces(4):
+        assert space.minimal_open_family() == minimal_opens_by_pairs(space)
+    for space in all_topologies(5):
+        assert space.minimal_open_family() == minimal_opens_by_pairs(space)
+
+
+def test_opens_inside_against_filter():
+    for space in all_spaces(4):
+        for a in range(space.full + 1):
+            expected = tuple(o for o in space.opens if o and o & ~a == 0)
+            assert space.opens_inside(a) == expected
+            assert space.opens_inside(a) is space.opens_inside(a)
 
 
 @pytest.mark.parametrize("query", ["closure", "is_dense", "interior"])
