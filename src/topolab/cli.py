@@ -37,7 +37,8 @@ from .spaces import FiniteSpace, mask_of
 from .suites import SUITE_NAMES, run_suite
 
 MAX_GEN_POINTS = 6
-# The solver is cubic in the number of opens: at most 255**3 reply checks.
+# Bounds the game's input, its printed win table and play's default rounds
+# (4 * points * opens); the solver itself is linear in the opens.
 MAX_GAME_OPENS = 256
 
 II_STRATEGIES = {

@@ -183,9 +183,9 @@ def seq_family(family: OpenFamily) -> OpenFamily:
 
     Over a finite family the witnessing sequences stabilize, which forces
     the closed form used here: W qualifies exactly when both W and its
-    complement are members.  ``seq_family_bruteforce`` searches the
-    witness sequences directly; the two must agree and the test suites
-    check that they do.
+    complement are members.  ``seq_family_bruteforce`` reads the
+    definition directly; the two must agree and the test suites check
+    that they do.
     """
     members = family.members
     full = family.space.full
@@ -193,34 +193,24 @@ def seq_family(family: OpenFamily) -> OpenFamily:
 
 
 def seq_family_bruteforce(family: OpenFamily) -> OpenFamily:
-    """Bounded search for witness sequences, kept independent of the
-    closed form.
+    """The witness-sequence definition read directly, kept independent
+    of the closed form.
 
     A run is a sequence U_0, U_1, ... of members with members V_k such
     that U_k and V_k are disjoint and the complement of V_k sits inside
-    U_(k+1).  An infinite witness exists exactly when a run of length at
-    most the family size reaches a member W admitting V with complement
-    equal to W (the run can then repeat W, V forever), and the union of
-    such a run is W.
+    U_(k+1).  An infinite witness exists exactly when a run reaches a
+    member W admitting a member V disjoint from W whose complement sits
+    inside W (the run can then repeat W, V forever), and the union of
+    such a run is W.  A run of length zero starts at every member, so W
+    qualifies exactly when it admits such a V.  That V is the complement
+    of W, which makes ``seq_family`` the closed form of this test.
     """
     members = family.sorted_members
     full = family.space.full
-    member_set = set(members)
-    closers = {full ^ v for v in members} & member_set
-    # forward reachability along the sandwich relation, from every member
-    reached = set(members)
-    frontier = list(members)
-    while frontier:
-        u = frontier.pop()
-        for v in members:
-            if u & v:
-                continue
-            between = full ^ v
-            for u2 in members:
-                if between & ~u2 == 0 and u2 not in reached:
-                    reached.add(u2)
-                    frontier.append(u2)
-    return OpenFamily.of(family.space, (w for w in reached if w in closers))
+    return OpenFamily.of(
+        family.space,
+        (w for w in members if any(not w & v and (full ^ v) & ~w == 0 for v in members)),
+    )
 
 
 def ring_closure(family: OpenFamily) -> OpenFamily:

@@ -2,10 +2,11 @@
 
 Player I offers a nonempty open set, Player II returns a nonempty open
 subset of it, and I wins when the union of II's replies becomes dense.
-On a finite space the solver computes the full winning table by backward
-induction over covered sets (every covered set is a union of opens, hence
-open), synthesizes a positional strategy, and an adversarial verifier
-checks any finite-state strategy against every possible opponent.
+On a finite space the winning table has a closed form: from every
+covered set that is not dense (every covered set is a union of opens,
+hence open), Player I offers a minimal open it misses, which Player II
+must return whole.  An adversarial verifier checks any finite-state
+strategy against every possible opponent.
 
 Strategies are deterministic finite-state transducers.  A strategy
 closure replays transducers over tuples of family members, so it
@@ -93,8 +94,8 @@ class PositionalStrategy(Strategy):
 
     def move_at(self, covered: int) -> int:
         """The table's move at ``covered``; where the table has none (a
-        dense or lost position), the least nonempty open, or 0 on the
-        space without points."""
+        dense position), the least nonempty open, or 0 on the space
+        without points."""
         move = self.table[covered][1]
         if move is None:
             return self.space.opens[1] if self.space.point_count else 0
@@ -179,9 +180,9 @@ class TableStrategy(Strategy):
 class GameSolution:
     """Winner plus the full table: covered set -> (status, optimal move).
 
-    A status of "dense" needs no move; "win" pairs with the least move
-    that forces progress into winning positions; "lose" means no such
-    move exists from there.
+    A status of "dense" needs no move; every other covered set is "win",
+    paired with the least minimal open it misses.  Player I wins every
+    finite space, so ``winner`` is always "I".
     """
 
     space: FiniteSpace
@@ -194,42 +195,31 @@ class GameSolution:
 
 
 def solve_open_open(space: FiniteSpace) -> GameSolution:
-    """Backward induction over covered sets.
+    """The winning table in closed form.
 
-    A covered set S is winning when it is dense, or when some nonempty
-    open A makes every reply B inside A grow S strictly into a winning
-    set.  A move allowing a reply with S union B equal to S is rejected:
-    the opponent could repeat that reply forever.  Strict growth bounds
-    every play by the point count, so the recursion is well founded; the
-    adversarial verifier double-checks the synthesized strategy.  Covered
-    sets are open, so a covered set is dense when it holds the dense core.
+    The minimal opens form a pi-base, and each lies inside every open set
+    it meets.  Covered sets are open, so a covered set is dense when it
+    holds the dense core and otherwise misses a minimal open.  Offered
+    that open, Player II must return it whole, which grows the covered
+    set strictly, so Player I wins from every covered set.  The least
+    minimal open missing S is also the least nonempty open missing S,
+    since each such open holds a minimal open no larger than itself.
+    ``tests/oracles.py`` keeps the backward induction as the reference.
     """
     if space.point_count == 0:
         raise EmptySpace("the game needs at least one point")
     core = space.dense_core()
-    inside = space.opens_inside
-    moves = space.nonempty_opens()
+    minimal = space.minimal_open_family()
     table: dict[int, tuple[str, int | None]] = {}
-    # Largest covered sets first; the stable sort keeps equal sizes ascending.
-    for s in sorted(space.opens, key=int.bit_count, reverse=True):
+    for s in space.opens:
         if s & core == core:
             table[s] = ("dense", None)
             continue
-        chosen = None
-        for a in moves:
-            # A move meeting s allows the reply a & s, which does not grow
-            # s; every reply to a move missing s grows it.
-            if a & s:
-                continue
-            for b in inside(a):
-                if table[s | b][0] == "lose":
-                    break
-            else:
-                chosen = a
+        for m in minimal:
+            if not m & s:
                 break
-        table[s] = ("win", chosen) if chosen is not None else ("lose", None)
-    winner = "I" if table[0][0] in ("dense", "win") else "II"
-    return GameSolution(space=space, winner=winner, table=table)
+        table[s] = ("win", m)
+    return GameSolution(space=space, winner="I", table=table)
 
 
 def minimal_open_strategy(space: FiniteSpace) -> RoundRobinStrategy:

@@ -102,14 +102,6 @@ class DirectedPoset:
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, row in enumerate(self.rows) for j in bits_of(row)]
 
-    def least_upper_bound(self, subset: Iterable[int]) -> int | None:
-        """The upper bounds are the AND of the subset's rows; the least one
-        is the bound whose own row is that whole mask."""
-        bounds = (1 << self.n) - 1
-        for i in subset:
-            bounds &= self.rows[i]
-        return next((u for u in bits_of(bounds) if self.rows[u] == bounds), None)
-
     def top(self) -> int:
         if self._top is None:
             raise NotDirected("directed finite poset lost its top")
@@ -340,7 +332,6 @@ class EmbeddingReport:
     image_identity_holds: bool
     open_onto_image: bool
     image_dense: bool
-    surjective_onto_limit: bool
     homeomorphism_onto_limit: bool
     vacuous_for_clopen_base: bool
 
@@ -393,7 +384,6 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
         image_identity_holds=identity_ok,
         open_onto_image=open_onto_image,
         image_dense=dense,
-        surjective_onto_limit=onto,
         homeomorphism_onto_limit=homeo,
         vacuous_for_clopen_base=vacuous,
     )

@@ -648,7 +648,7 @@ def sigma_by_sublimit(
     if not sys.poset.is_chain(chain):
         raise NotAChain("elements are not pairwise comparable")
     if sup is None:
-        sup = sys.poset.least_upper_bound(chain)
+        sup = least_upper_bound_by_le(sys.poset, chain)
         if sup is None:
             return SigmaReport(False, None, None)
     elif not all(sys.poset.le(c, sup) for c in chain):

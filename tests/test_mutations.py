@@ -66,8 +66,10 @@ def solver_accepting_replies_that_do_not_grow(monkeypatch):
 def minimal_open_family_dropping_its_last_member(monkeypatch):
     """``FiniteSpace.minimal_open_family`` leaves out its last member when
     it has two or more, so the round robin of the minimal opens misses
-    one.  The verifier reads density off the dense core, not off this
-    family, so it must see the round robin fail."""
+    one, and the solver offers a minimal open the covered set already
+    holds where only the dropped one is missing.  The verifier reads
+    density off the dense core, not off this family, so it must see both
+    strategies fail."""
     real = FiniteSpace.minimal_open_family
 
     def mutant(space):
@@ -102,13 +104,19 @@ MUTANTS = [
         suites.game_suite,
         "minimal_open_strategy_verified",
     ),
+    (minimal_open_family_dropping_its_last_member, suites.game_suite, "solver_strategy_verified"),
     (dense_core_dropping_its_highest_point, suites.game_suite, "solver_beats_small_transducers"),
 ]
 
 
-@pytest.mark.parametrize(
-    "plant, suite, prop", MUTANTS, ids=[plant.__name__ for plant, _, _ in MUTANTS]
-)
+# A row is named after its plant; a plant's later rows add their property.
+MUTANT_IDS = [
+    plant.__name__ + ("-" + prop if any(row[0] is plant for row in MUTANTS[:i]) else "")
+    for i, (plant, _, prop) in enumerate(MUTANTS)
+]
+
+
+@pytest.mark.parametrize("plant, suite, prop", MUTANTS, ids=MUTANT_IDS)
 def test_mutant_violates_its_property(monkeypatch, plant, suite, prop):
     plant(monkeypatch)
     rep = suite(max_points=3, samples=0, seed=0)

@@ -29,7 +29,6 @@ from topolab.systems import (
 from oracles import (
     commutation_witness_by_compose,
     greedy_chain_by_le,
-    least_upper_bound_by_le,
     limit_topology_by_every_node,
     open_onto_image_by_opens,
     poset_order_by_pair_loops,
@@ -76,7 +75,6 @@ def test_poset_validation():
         DirectedPoset(("a", "b"), [])  # no upper bound for the pair
     p = DirectedPoset(("a", "b", "c"), [(0, 2), (1, 2)])
     assert p.top() == 2
-    assert p.least_upper_bound([0, 1]) == 2
     assert p.is_chain([0, 2]) and not p.is_chain([0, 1])
     assert p.greedy_chain()[-1] == 2
 
@@ -123,9 +121,6 @@ def test_poset_queries_match_le_loops_on_every_small_poset():
                 continue
             posets += 1
             assert poset.greedy_chain() == greedy_chain_by_le(poset)
-            for subset in range(1 << n):
-                elems = [i for i in range(n) if (subset >> i) & 1]
-                assert poset.least_upper_bound(elems) == least_upper_bound_by_le(poset, elems)
     # the directed posets on 0-3 labeled nodes: 1, 1, 2, 9
     assert posets == 13
 
