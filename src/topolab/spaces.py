@@ -100,7 +100,9 @@ class FiniteSpace:
       inside rows[x];
     - ``families.build_quotient``, for the same reason: the row of a class
       is the meet of the member images holding that class, so it holds
-      the class, and each class in it lies in every such image;
+      the class, and each class in it lies in every such image.  It
+      builds one space for each distinct rows tuple and shares it among
+      the quotients with those rows;
     - ``enumeration.all_topologies``: ``preorders`` yields only reflexive
       transitive rows.
 

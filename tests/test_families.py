@@ -76,6 +76,12 @@ def test_family_must_be_open():
         OpenFamily.of(SIERP, [0b01])
 
 
+def test_family_error_names_the_least_member_not_open():
+    # 0b010, 0b100 and 0b110 are not open in the chain; 0b001 is
+    with pytest.raises(ValueError, match=r"family member 2 is not open"):
+        OpenFamily.of(CHAIN3, [0b110, 0b001, 0b100, 0b010])
+
+
 def test_quotient_examples():
     q = build_quotient(CHAIN3, [0b001, 0b011])
     assert q.quotient_space == FiniteSpace.chain(3)
@@ -116,6 +122,36 @@ def test_image_is_base_against_oracle_exhaustive():
             assert q.image_is_base == base_by_unions_below(q.quotient_space, images)
             seen.add(q.image_is_base)
     assert seen == {False, True}
+
+
+def test_equal_rows_share_one_quotient_space(monkeypatch):
+    monkeypatch.setattr(families, "_QUOTIENT_SPACES", {})
+    q1 = build_quotient(CHAIN3, [0b001, 0b011])
+    q2 = build_quotient(CHAIN3, [0b011, 0b001])
+    assert q1.quotient_space is q2.quotient_space
+    assert q2.map.codomain is q1.quotient_space
+    # different families, and different spaces, with equal quotient rows
+    by_opens = build_quotient(D2, D2.opens)
+    by_points = build_quotient(D3, [0b001, 0b110])
+    assert by_opens.quotient_space is by_points.quotient_space
+    assert by_opens.quotient_space == FiniteSpace.discrete(2)
+    assert build_quotient(SIERP, [0b10]).quotient_space is not by_opens.quotient_space
+
+
+def test_quotient_spaces_stop_at_the_cap(monkeypatch):
+    monkeypatch.setattr(families, "_QUOTIENT_SPACES", {})
+    monkeypatch.setattr(families, "_QUOTIENT_SPACES_CAP", 3)
+    after_full = 0
+    for space in all_spaces(3):
+        for members in every_family(space):
+            full = len(families._QUOTIENT_SPACES) == 3
+            q = build_quotient(space, members)
+            assert len(families._QUOTIENT_SPACES) <= 3
+            images = [q.map.image_of(m) for m in members]
+            assert q.quotient_space == from_subbasis(len(q.classes), images)
+            after_full += full
+    assert len(families._QUOTIENT_SPACES) == 3
+    assert after_full > 1000
 
 
 def test_quotient_by_all_opens_is_t0_reflection():

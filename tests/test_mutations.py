@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from topolab import jsonio, suites
+from topolab import families, jsonio, suites
 from topolab.enumeration import all_spaces
 from topolab.game import count_ii_strategies, play
 from topolab.spaces import FiniteSpace
@@ -90,10 +90,26 @@ def dense_core_dropping_its_highest_point(monkeypatch):
     monkeypatch.setattr(FiniteSpace, "dense_core", mutant)
 
 
+def quotient_spaces_keyed_by_class_count(monkeypatch):
+    """``build_quotient`` looks its shared space up by the number of
+    classes, not by the rows, so every quotient with as many classes gets
+    the first such space built."""
+
+    class ByClassCount(dict):
+        def get(self, rows):
+            return super().get(len(rows))
+
+        def __setitem__(self, rows, space):
+            super().__setitem__(len(rows), space)
+
+    monkeypatch.setattr(families, "_QUOTIENT_SPACES", ByClassCount())
+
+
 MUTANTS = [
     (always_completely_regular, suites.quotient_suite, "completely_regular_oracle"),
     (skeletal_family_skipping_last_row, suites.quotient_suite, "skeletal_family_iff_map"),
     (is_dense_ignoring_last_row, suites.quotient_suite, "skeletal_dense_preimage"),
+    (quotient_spaces_keyed_by_class_count, suites.quotient_suite, "meet_closed_continuous"),
     (
         solver_accepting_replies_that_do_not_grow,
         suites.game_suite,
