@@ -2,8 +2,11 @@
 
 The key construction: a family P of opens identifies points that belong to
 exactly the same members, and the images of members generate a topology on
-the classes.  Alongside live the sequence-closure operator (the finite
-shadow of cozero behaviour), ring closure, and skeletal-family checking.
+the classes.  The classes group the points by their ``meet_rows`` entry,
+and the quotient's rows are the meets of the member images.  Alongside
+live the sequence-closure operator (the finite shadow of cozero
+behaviour), ring closure (the ``union_closure`` of the members' meets),
+and skeletal-family checking.
 
 A family carries its space, and ``OpenFamily`` checks its members once,
 when it is built; every function here reads ``family.space``.  Only
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import NotAPiBase, NotContinuous
-from .spaces import FiniteSpace, SpaceMap
+from .spaces import FiniteSpace, SpaceMap, meet_rows, union_closure
 
 __all__ = [
     "OpenFamily",
@@ -83,24 +86,16 @@ class OpenFamily:
 def classes_of(family: OpenFamily) -> tuple[int, ...]:
     """Partition of the points by equal membership across the family.
 
-    Starts from the one block of all points (none on the empty space) and
-    splits every block by each member into its parts inside and outside
-    the member, dropping empty parts.  Classes come out as bitmasks in
-    order of their lowest point, which is the order of first occurrence
-    while scanning points ascending.
+    Groups the points by their ``meet_rows`` entry, the meet of the
+    members holding them: two points lie in the same members exactly when
+    their meets agree, since each point lies in its own meet.  Classes
+    come out as bitmasks in order of their lowest point, the order in
+    which the points are scanned.
     """
-    space = family.space
-    blocks = [space.full] if space.point_count else []
-    for m in family.members:
-        split = []
-        for c in blocks:
-            inside = c & m
-            if inside:
-                split.append(inside)
-            if inside != c:
-                split.append(c ^ inside)
-        blocks = split
-    return tuple(sorted(blocks, key=lambda c: c & -c))
+    classes: dict[int, int] = {}
+    for x, row in enumerate(meet_rows(family.space.point_count, family.members)):
+        classes[row] = classes.get(row, 0) | 1 << x
+    return tuple(classes.values())
 
 
 @dataclass(frozen=True)
@@ -138,12 +133,13 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
     One pass over the members: a member's image is the classes of its
     points, and that image is ANDed into the row of each of its classes,
     so each row ends as the meet of the images holding its class, the full
-    set if none does, as in ``from_subbasis``.  That function stays the
-    quotient topology's definition:
+    set if none does.  That is ``meet_rows`` of the images, inlined so
+    that the same walk takes each image and tests the identity: the union
+    of an image's classes is its preimage.  ``from_subbasis``, which
+    applies ``meet_rows``, stays the quotient topology's definition:
     ``test_image_is_base_against_oracle_exhaustive`` in
     ``tests/test_families.py`` checks every quotient on at most 3 points
-    against it and against an oracle.  The identity test reads the same
-    walk over the image: the union of its classes is its preimage.
+    against it and against an oracle.
 
     The quotient space is shared: one ``FiniteSpace`` serves every call
     with the same rows, since the rows fix the space.  The family, the
@@ -237,19 +233,15 @@ def seq_family_bruteforce(family: OpenFamily) -> OpenFamily:
 
 
 def ring_closure(family: OpenFamily) -> OpenFamily:
-    """Smallest superfamily closed under pairwise union and intersection."""
-    current = set(family.members)
-    while True:
-        new = set()
-        for a in current:
-            for b in current:
-                if a | b not in current:
-                    new.add(a | b)
-                if a & b not in current:
-                    new.add(a & b)
-        if not new:
-            return OpenFamily.of(family.space, current)
-        current |= new
+    """Smallest superfamily closed under pairwise union and intersection.
+
+    The meets of members are the complements of the unions of their
+    complements, and the unions of those meets are closed under meets
+    too, since a meet of two unions is the union of the pairwise meets.
+    """
+    full = family.space.full
+    meets = {full ^ u for u in union_closure({full ^ m for m in family.members})}
+    return OpenFamily.of(family.space, union_closure(meets))
 
 
 def is_skeletal_family(family: OpenFamily) -> tuple[bool, int | None]:

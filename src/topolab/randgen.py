@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 
 from .families import OpenFamily
-from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis
+from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis, union_closure
 from .systems import DirectedPoset, InverseSystem
 
 __all__ = [
@@ -39,11 +39,10 @@ def random_space(rng: random.Random, n: int) -> FiniteSpace:
     return FiniteSpace.from_preorder(rows)
 
 
-def random_space_subbasis(rng: random.Random, n: int, generators: int | None = None) -> FiniteSpace:
-    if generators is None:
-        generators = rng.randint(0, n + 1)
+def random_space_subbasis(rng: random.Random, n: int) -> FiniteSpace:
+    """The space generated by 0 to n + 1 random subsets of the points."""
     full = (1 << n) - 1
-    gens = [rng.randint(0, full) for _ in range(generators)]
+    gens = [rng.randint(0, full) for _ in range(rng.randint(0, n + 1))]
     return from_subbasis(n, gens)
 
 
@@ -119,10 +118,6 @@ def random_union_closed_families(
 ) -> list[OpenFamily]:
     """A few random families closed under pairwise member-set union, which
     makes the collection directed by inclusion."""
-    fams = {random_family(rng, space, rng.randint(0, 3)).members for _ in range(count)}
-    while True:
-        extra = {a | b for a in fams for b in fams} - fams
-        if not extra:
-            break
-        fams |= extra
+    draws = {random_family(rng, space, rng.randint(0, 3)).members for _ in range(count)}
+    fams = union_closure(draws)
     return [OpenFamily(space, f) for f in sorted(fams, key=lambda f: (len(f), sorted(f)))]

@@ -6,6 +6,10 @@ means point i is in).  A finite topology is its specialization preorder
 A space keeps those rows and its sorted opens, their union closure.  The
 rows form a base, so interior, closure, separation axioms, generated
 topologies, skeletality and map continuity and openness all read them.
+Two helpers compute rows and opens for the whole package: ``meet_rows``
+gives each point the meet of the sets holding it (rows from opens, from
+generators, quotient classes from a family, clopen atoms from the
+clopens) and ``union_closure`` gives every union of some given sets.
 ``clopens``, ``nonempty_opens`` and ``opens_inside`` list the opens.  The
 minimal opens, the dense core and the opens inside a set are derived once,
 on first use, and kept; every value is immutable after construction apart
@@ -26,6 +30,8 @@ __all__ = [
     "FrinkReport",
     "bits_of",
     "mask_of",
+    "meet_rows",
+    "union_closure",
     "from_subbasis",
     "frink_conditions",
 ]
@@ -44,6 +50,32 @@ def mask_of(points: Iterable[int]) -> int:
     for p in points:
         m |= 1 << p
     return m
+
+
+def meet_rows(point_count: int, sets: Iterable[int]) -> list[int]:
+    """For each point, the meet of the given sets that hold it, or every
+    point when none does; each set must lie within the points.  One walk
+    over each set's bits ANDs the set into the row of each of its points.
+    """
+    rows = [(1 << point_count) - 1] * point_count
+    for s in sets:
+        m = s
+        while m:
+            low = m & -m
+            rows[low.bit_length() - 1] &= s
+            m ^= low
+    return rows
+
+
+def union_closure(sets: Iterable) -> set:
+    """Every union of one or more of the given sets (int masks or
+    frozensets), in one pass: each set joins every union found before it.
+    """
+    out = set()
+    for s in sets:
+        out |= {u | s for u in out}
+        out.add(s)
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,27 +114,28 @@ class FiniteSpace:
 
     ``FiniteSpace(n, opens)`` validates input from outside: the empty and
     full sets must be present, and the family closed under union and
-    intersection.  Since every member and every meet of two is the union
-    of the rows of its points, it suffices that o | row is a member for
-    every member o and row (o = 0 makes each row one): O(|opens|*n)
-    lookups, not O(|opens|**2).
+    intersection.  Its rows are the ``meet_rows`` of the opens, one walk
+    over each open's bits.  Since every member and every meet of two is
+    the union of the rows of its points, it suffices that o | row is a
+    member for every member o and row (o = 0 makes each row one):
+    O(|opens|*n) lookups, not O(|opens|**2).
 
     Every other constructor builds from rows, which need only a range
-    check, through ``_from_closed_rows``: it takes the union closure of
-    rows that are already reflexive and transitive and hands them to
+    check, through ``_from_closed_rows``: it takes the ``union_closure``
+    of rows that are already reflexive and transitive and hands them to
     ``__init__`` as ``_rows``, which skips the derivation and the check,
     so every space is still constructed by ``__init__``.  Its callers:
 
     - ``from_preorder`` (and the named constructors through it) closes
       arbitrary rows first, by the package's one Warshall pass;
-    - ``from_subbasis``: rows[x], the meet of the generators holding x,
-      holds x, and each y in it has every such generator, so rows[y] is
-      inside rows[x];
-    - ``families.build_quotient``, for the same reason: the row of a class
-      is the meet of the member images holding that class, so it holds
-      the class, and each class in it lies in every such image.  It
-      builds one space for each distinct rows tuple and shares it among
-      the quotients with those rows;
+    - ``from_subbasis`` passes the ``meet_rows`` of the generators:
+      rows[x] holds x, and each y in it has every generator holding x,
+      so rows[y] is inside rows[x];
+    - ``families.build_quotient``, for the same reason: its fused walk
+      inlines ``meet_rows`` of the member images, so the row of a class
+      holds the class, and each class in it lies in every image holding
+      the class.  It builds one space for each distinct rows tuple and
+      shares it among the quotients with those rows;
     - ``enumeration.all_topologies``: ``preorders`` yields only reflexive
       transitive rows.
 
@@ -130,16 +163,9 @@ class FiniteSpace:
                     raise ValueError("open set %r out of range for %d points" % (o, point_count))
             if 0 not in open_set or full not in open_set:
                 raise ValueError("a topology must contain the empty set and the full point set")
-            members = sorted(open_set)
-            rows = []
-            for x in range(point_count):
-                m = full
-                for o in members:
-                    if (o >> x) & 1:
-                        m &= o
-                rows.append(m)
+            rows = meet_rows(point_count, open_set)
             for m in set(rows):
-                if not open_set.issuperset([o | m for o in members]):
+                if not open_set.issuperset([o | m for o in open_set]):
                     raise ValueError("opens not closed under union/intersection")
             _rows = tuple(rows)
         else:
@@ -200,9 +226,8 @@ class FiniteSpace:
         transitive (y in rows[x] puts rows[y] inside rows[x]); its opens
         are their unions."""
         rows = tuple(rows)
-        opens = {0}
-        for m in set(rows):
-            opens |= {o | m for o in opens}
+        opens = union_closure(set(rows))
+        opens.add(0)
         return cls(len(rows), opens, _rows=rows)
 
     # -- basic queries -------------------------------------------------
@@ -312,15 +337,7 @@ class FiniteSpace:
 
         They partition the points; every clopen set is a union of them.
         """
-        clop = self.clopens()
-        atoms = set()
-        for x in range(self.point_count):
-            m = self.full
-            for c in clop:
-                if (c >> x) & 1:
-                    m &= c
-            atoms.add(m)
-        return tuple(sorted(atoms))
+        return tuple(sorted(set(meet_rows(self.point_count, self.clopens()))))
 
     # -- separation axioms ----------------------------------------------
 
@@ -378,14 +395,7 @@ def from_subbasis(point_count: int, subbasis: Iterable[int]) -> FiniteSpace:
         if s < 0 or s & ~full:
             raise ValueError("subbasis member %r out of range for %d points" % (s, point_count))
         gens.add(s)
-    rows = [full] * point_count
-    for g in gens:
-        m = g
-        while m:
-            low = m & -m
-            rows[low.bit_length() - 1] &= g
-            m ^= low
-    return FiniteSpace._from_closed_rows(rows)
+    return FiniteSpace._from_closed_rows(meet_rows(point_count, gens))
 
 
 def frink_conditions(space: FiniteSpace, base: Iterable[int]) -> FrinkReport:

@@ -160,6 +160,30 @@ def every_family(space: FiniteSpace):
         yield [opens[k] for k in range(len(opens)) if (pick >> k) & 1]
 
 
+def unions_by_fixpoint(members) -> set:
+    """Every union of one or more members (int masks or frozensets), by
+    adding pairwise unions until none is new."""
+    out = set(members)
+    while True:
+        extra = {a | b for a in out for b in out} - out
+        if not extra:
+            return out
+        out |= extra
+
+
+def ring_closure_by_fixpoint(family: OpenFamily) -> OpenFamily:
+    """Smallest superfamily closed under pairwise union and intersection,
+    by adding pairwise unions and meets until none is new."""
+    current = set(family.members)
+    while True:
+        new = {a | b for a in current for b in current}
+        new |= {a & b for a in current for b in current}
+        new -= current
+        if not new:
+            return OpenFamily.of(family.space, current)
+        current |= new
+
+
 def preorders_by_filter(n: int) -> list[tuple[int, ...]]:
     """Every reflexive transitive relation on n points, as row bitmasks.
 

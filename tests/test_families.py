@@ -26,6 +26,7 @@ from oracles import (
     kolmogorov_quotient,
     pi_bases_by_filter,
     least_open_without_member,
+    ring_closure_by_fixpoint,
     skeletal_family_by_opens,
     subbasis_by_meets_and_unions,
 )
@@ -207,6 +208,16 @@ def test_ring_closure_examples():
     assert ring_closure(OpenFamily.of(D3, [0b011, 0b110])).members == frozenset(
         {0b010, 0b011, 0b110, 0b111}
     )
+
+
+def test_ring_closure_against_fixpoint_exhaustive():
+    checked = 0
+    for space in all_spaces(3):
+        for members in every_family(space):
+            fam = OpenFamily.of(space, members)
+            assert ring_closure(fam).members == ring_closure_by_fixpoint(fam).members
+            checked += 1
+    assert checked == 1070
 
 
 def test_ring_unions_stay_in_seq():

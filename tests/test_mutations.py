@@ -105,11 +105,24 @@ def quotient_spaces_keyed_by_class_count(monkeypatch):
     monkeypatch.setattr(families, "_QUOTIENT_SPACES", ByClassCount())
 
 
+def meet_rows_dropping_its_largest_set(monkeypatch):
+    """``classes_of`` reads ``meet_rows`` without the largest member, so
+    points that the dropped member tells apart fall into one class, and a
+    member is smaller than the preimage of its image."""
+    real = families.meet_rows
+
+    def mutant(point_count, sets):
+        return real(point_count, sorted(sets)[:-1])
+
+    monkeypatch.setattr(families, "meet_rows", mutant)
+
+
 MUTANTS = [
     (always_completely_regular, suites.quotient_suite, "completely_regular_oracle"),
     (skeletal_family_skipping_last_row, suites.quotient_suite, "skeletal_family_iff_map"),
     (is_dense_ignoring_last_row, suites.quotient_suite, "skeletal_dense_preimage"),
     (quotient_spaces_keyed_by_class_count, suites.quotient_suite, "meet_closed_continuous"),
+    (meet_rows_dropping_its_largest_set, suites.quotient_suite, "q_preimage_identity"),
     (
         solver_accepting_replies_that_do_not_grow,
         suites.game_suite,

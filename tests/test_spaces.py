@@ -11,7 +11,14 @@ from topolab.enumeration import (
 )
 from topolab.errors import NotABase, NotContinuous, NotSurjective
 from topolab.randgen import random_space, rng_for
-from topolab.spaces import FiniteSpace, SpaceMap, frink_conditions, from_subbasis
+from topolab.spaces import (
+    FiniteSpace,
+    SpaceMap,
+    frink_conditions,
+    from_subbasis,
+    meet_rows,
+    union_closure,
+)
 
 from oracles import (
     all_surjections,
@@ -28,6 +35,7 @@ from oracles import (
     skeletal_witness_by_opens,
     subbasis_by_meets_and_unions,
     two_valued_separation,
+    unions_by_fixpoint,
 )
 
 SIERP = FiniteSpace.sierpinski()
@@ -59,6 +67,39 @@ def test_validation_rejects_wide_non_topologies_at_once():
     full = (1 << 40) - 1
     with pytest.raises(ValueError, match="not closed under union/intersection"):
         FiniteSpace(40, [0, full] + [1 << x for x in range(40)])
+
+
+def test_meet_rows_of_the_opens_are_the_rows_exhaustive():
+    spaces = all_spaces(4)
+    assert len(spaces) == 390
+    for space in spaces:
+        assert meet_rows(space.point_count, space.opens) == list(space.rows)
+    assert meet_rows(3, []) == [0b111] * 3
+    assert meet_rows(3, [0b011, 0b110]) == [0b011, 0b010, 0b110]
+
+
+def test_union_closure_against_fixpoint_random():
+    rng = rng_for(0, "union-closure")
+    for _ in range(500):
+        masks = [rng.randrange(1 << 6) for _ in range(rng.randrange(7))]
+        assert union_closure(masks) == unions_by_fixpoint(masks)
+        sets = [frozenset(rng.sample(range(8), rng.randrange(4))) for _ in range(rng.randrange(6))]
+        assert union_closure(sets) == unions_by_fixpoint(sets)
+    assert union_closure([]) == set()
+
+
+def test_clopen_atoms_partition_the_points_and_generate_the_clopens():
+    for space in all_spaces(4):
+        atoms = space.clopen_atoms()
+        covered = 0
+        for a in atoms:
+            assert a and not a & covered
+            assert space.is_open(a) and space.is_closed(a)
+            covered |= a
+        assert covered == space.full
+        for c in space.clopens():
+            # disjoint atoms, so their sum is their union
+            assert sum(a for a in atoms if a & c) == c
 
 
 def test_named_constructors_match_their_opens():
