@@ -11,18 +11,16 @@ strategy against every possible opponent.
 Strategies are deterministic finite-state transducers.  A strategy
 closure replays transducers over tuples of family members, so it
 terminates inside the finite powerset.  The club member of a clopen
-seed is the clopen algebra, built outright.  Against the small Player II
-transducers a strategy is played once per distinct line: a play reads
-only a few table entries, and every transducer that agrees on those
-entries plays the same line.
+seed is the clopen algebra, built outright.  The solver offers only
+minimal opens, and Player II must return a minimal open whole, so every
+Player II transducer plays the same line against the solver as the echo.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptySpace, IllegalMove, NotClopen, StateOverflow
 from .families import OpenFamily, is_skeletal_family
@@ -47,8 +45,6 @@ __all__ = [
     "build_tclub_member",
     "check_condition_S",
     "count_ii_strategies",
-    "transducer_plays",
-    "transducers_reading",
 ]
 
 # verify_winning raises StateOverflow after exploring this many nodes.
@@ -156,8 +152,8 @@ class MinimalReplyStrategy(Strategy):
 
 class TableStrategy(Strategy):
     """Explicit transducer given by a (state, observed) -> (move, state)
-    table.  Serves both players; the small Player II transducers are
-    tables, and ``transducer_plays`` plays partial ones."""
+    table.  Serves both players; the small Player II transducers that
+    ``count_ii_strategies`` counts are tables."""
 
     kind = "table"
 
@@ -458,71 +454,14 @@ def check_condition_S(family: OpenFamily) -> tuple[bool, int | None]:
 # -- small Player II transducers ------------------------------------------
 
 
-def _ii_option_space(space: FiniteSpace, n_states: int):
-    """Every table key (state, offer) in enumeration order, with its
-    options (reply, next state); options ascend, because opens do."""
-    keys = []
-    options = []
-    for s in range(n_states):
-        for a in space.nonempty_opens():
-            keys.append((s, a))
-            options.append([(b, t) for b in space.opens_inside(a) for t in range(n_states)])
-    return keys, options
-
-
 def count_ii_strategies(space: FiniteSpace, n_states: int) -> int:
-    _, options = _ii_option_space(space, n_states)
-    return math.prod(map(len, options))
+    """The number of Player II transducers with ``n_states`` states:
+    tables from (state, nonempty open offer) to (nonempty open reply
+    inside it, next state).
 
-
-class _Unread(Exception):
-    """A partial transducer table met a key it has no entry for."""
-
-
-class _PartialTable(dict):
-    def __missing__(self, key):
-        raise _Unread(key)
-
-
-def transducer_plays(
-    space: FiniteSpace, strategy: Strategy, n_states: int
-) -> Iterator[tuple[Transcript, dict, int]]:
-    """Each distinct play of ``strategy`` against the Player II
-    transducers with ``n_states`` states, depth first, as the transcript,
-    the table entries the play read and how many transducers play it.
-
-    ``play`` runs against a partial table, which stops at the first key
-    it has no entry for; the play is then replayed from the start once
-    per option of that key.  A play that finishes read only the entries
-    of its table, so every transducer agreeing on them plays it: their
-    count is the product of the option counts of the unread keys.
-    """
-    keys, options = _ii_option_space(space, n_states)
-    options_at = dict(zip(keys, options))
-    stack: list[dict] = [{}]
-    while stack:
-        read = stack.pop()
-        try:
-            t = play(space, strategy, TableStrategy("II", 0, _PartialTable(read)))
-        except _Unread as miss:
-            key = miss.args[0]
-            stack.extend({**read, key: opt} for opt in reversed(options_at[key]))
-            continue
-        count = math.prod(len(opts) for k, opts in options_at.items() if k not in read)
-        yield t, read, count
-
-
-def transducers_reading(
-    space: FiniteSpace, n_states: int, reads: Iterable[dict]
-) -> Iterator[TableStrategy]:
-    """The Player II transducers with ``n_states`` states whose tables
-    hold every entry of one of ``reads`` (the reads of distinct lines),
-    in enumeration order: the product of the option lists, first key
-    slowest.  Options ascend, so that is the order of the entry tuples."""
-    keys, options = _ii_option_space(space, n_states)
-    combos = []
-    for read in reads:
-        pinned = [[read[k]] if k in read else opts for k, opts in zip(keys, options)]
-        combos.extend(itertools.product(*pinned))
-    for combo in sorted(combos):
-        yield TableStrategy("II", 0, dict(zip(keys, combo)))
+    Each key takes its value independently, and the key (s, a) has
+    ``n_states`` times as many values as there are nonempty opens inside
+    a.  Every state reads the same offers, so the product over the offers
+    is taken once per state."""
+    per_state = math.prod(n_states * len(space.opens_inside(a)) for a in space.nonempty_opens())
+    return per_state**n_states

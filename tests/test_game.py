@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
@@ -18,8 +17,6 @@ from topolab.game import (
     minimal_open_strategy,
     play,
     solve_open_open,
-    transducer_plays,
-    transducers_reading,
     verify_winning,
 )
 from topolab.randgen import (
@@ -399,47 +396,28 @@ def test_closure_lemma_with_a_negative_control():
     assert (control_failures, controls) == (3_994, 6_048)
 
 
-def test_solver_beats_every_tiny_transducer():
-    for space in all_spaces(2, min_points=1):
-        sol = solve_open_open(space)
-        for states in (1, 2):
-            assert count_ii_strategies(space, states) <= 5000
-            for opp in enumerate_ii_strategies(space, states):
-                t = play(space, sol.strategy, opp)
-                assert t.outcome == "I-wins"
-                progress = sum(
-                    1
-                    for k, c in enumerate(t.covered)
-                    if c != (t.covered[k - 1] if k else 0)
-                )
-                assert progress <= space.point_count
-
-
-def test_transducer_plays_match_every_enumerated_opponent():
-    # each distinct line, weighted by its count, against one play per
-    # enumerated opponent, on every space of 1-3 points under the cap; the
-    # transducers reading the lines' entries are the enumeration, in order
-    lines = opponents = 0
+def test_every_tiny_transducer_plays_the_forced_echo_line():
+    # the solver offers only minimal opens, which Player II must return
+    # whole, so every opponent plays the solver's line against the echo,
+    # and that line wins with at most one covered set per point; one play
+    # per enumerated opponent on every space of 1-3 points under the cap
+    pairs = opponents = 0
     for space in all_spaces(3, min_points=1):
         sol = solve_open_open(space)
+        echo = play(space, sol.strategy, EchoStrategy())
+        minimal = set(space.minimal_open_family())
+        assert all(a in minimal for a, _ in echo.rounds)
+        assert echo.outcome == "I-wins"
+        assert len(set(echo.covered)) <= space.point_count  # covered sets only grow
         for states in (1, 2):
             total = count_ii_strategies(space, states)
             if total > 3000:
                 continue
-            weighted = Counter()
-            reads = []
-            for t, read, count in transducer_plays(space, sol.strategy, states):
-                weighted[t.rounds, t.outcome] += count
-                reads.append(read)
-            assert sum(weighted.values()) == total
-            played = Counter()
-            tables = []
-            for opp in enumerate_ii_strategies(space, states):
+            opps = list(enumerate_ii_strategies(space, states))
+            assert len(opps) == total
+            for opp in opps:
                 t = play(space, sol.strategy, opp)
-                played[t.rounds, t.outcome] += 1
-                tables.append(opp.table)
-            assert weighted == played
-            assert [opp.table for opp in transducers_reading(space, states, reads)] == tables
-            lines += len(reads)
+                assert (t.rounds, t.outcome) == (echo.rounds, echo.outcome)
+            pairs += 1
             opponents += total
-    assert (lines, opponents) == (84, 17_172)
+    assert (pairs, opponents) == (55, 17_172)

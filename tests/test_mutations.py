@@ -175,3 +175,32 @@ def test_transducer_violations_match_playing_every_opponent(monkeypatch):
     assert len(expected) == 30
     assert sum(v["property"] == "solver_strategy_verified" for v in rep.violations) == 2
     assert rep.counts["opponents_played"] == 17_172
+
+
+def test_transducers_are_played_one_by_one_when_the_certificate_fails(monkeypatch):
+    # a solver opening with the whole space offers a set that is not a
+    # minimal open on every space but the indiscrete ones, so the suite
+    # plays each opponent; all of them still lose, and the counts match
+    # the ones the certificate gives on the sound solver
+    real = suites.solve_open_open
+
+    def opening_with_the_whole_space(space):
+        sol = real(space)
+        return dataclasses.replace(sol, table={**sol.table, 0: ("win", space.full)})
+
+    tables_played = 0
+    real_play = suites.play
+
+    def counting_play(space, strategy_i, strategy_ii, max_rounds=None):
+        nonlocal tables_played
+        tables_played += strategy_ii.kind == "table"
+        return real_play(space, strategy_i, strategy_ii, max_rounds)
+
+    monkeypatch.setattr(suites, "solve_open_open", opening_with_the_whole_space)
+    monkeypatch.setattr(suites, "play", counting_play)
+    rep = suites.game_suite(max_points=3, samples=0, seed=0)
+    assert not any(v["property"] == "solver_beats_small_transducers" for v in rep.violations)
+    assert rep.cases_run == 17_309
+    assert rep.counts["opponents_played"] == 17_172
+    # all but the 1 + 4 opponents of each of the 3 indiscrete spaces
+    assert tables_played == 17_172 - 3 * 5
