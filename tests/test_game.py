@@ -396,7 +396,23 @@ def test_closure_lemma_with_a_negative_control():
     assert (control_failures, controls) == (3_994, 6_048)
 
 
-def test_every_tiny_transducer_plays_the_forced_echo_line():
+def test_solver_beats_every_tiny_transducer():
+    for space in all_spaces(2, min_points=1):
+        sol = solve_open_open(space)
+        for states in (1, 2):
+            assert count_ii_strategies(space, states) <= 5000
+            for opp in enumerate_ii_strategies(space, states):
+                t = play(space, sol.strategy, opp)
+                assert t.outcome == "I-wins"
+                progress = sum(
+                    1
+                    for k, c in enumerate(t.covered)
+                    if c != (t.covered[k - 1] if k else 0)
+                )
+                assert progress <= space.point_count
+
+
+def test_transducer_plays_match_every_enumerated_opponent():
     # the solver offers only minimal opens, which Player II must return
     # whole, so every opponent plays the solver's line against the echo,
     # and that line wins with at most one covered set per point; one play
