@@ -141,18 +141,27 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
     ``tests/test_families.py`` checks every quotient on at most 3 points
     against it and against an oracle.
 
-    The quotient space is shared: one ``FiniteSpace`` serves every call
-    with the same rows, since the rows fix the space.  The family, the
+    One pass over the classes gives each point its class index and its
+    class bit, which the walk reads.  The indices form one ``assign``
+    tuple, shared by ``Quotient.assign`` and the map; it is in range by
+    construction, so the map comes from ``SpaceMap._from_built``.  The
+    quotient space is shared: one ``FiniteSpace`` serves every call with
+    the same rows, since the rows fix the space.  The family, the
     classes, the map and the three verdicts are computed on every call.
     """
     fam = OpenFamily.of(space, members)
     classes = classes_of(fam)
     assign = [0] * space.point_count
+    class_bit = [0] * space.point_count
     for idx, c in enumerate(classes):
+        bit = 1 << idx
         while c:
             low = c & -c
-            assign[low.bit_length() - 1] = idx
+            x = low.bit_length() - 1
+            assign[x] = idx
+            class_bit[x] = bit
             c ^= low
+    assign = tuple(assign)
     rows = [(1 << len(classes)) - 1] * len(classes)
     images = set()
     identity = True
@@ -161,7 +170,7 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
         b = m
         while b:
             low = b & -b
-            img |= 1 << assign[low.bit_length() - 1]
+            img |= class_bit[low.bit_length() - 1]
             b ^= low
         b = img
         while b:
@@ -178,16 +187,16 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
         qspace = FiniteSpace._from_closed_rows(key)
         if len(_QUOTIENT_SPACES) < _QUOTIENT_SPACES_CAP:
             _QUOTIENT_SPACES[key] = qspace
-    qmap = SpaceMap(space, qspace, assign)
+    qmap = SpaceMap._from_built(space, qspace, assign)
     continuous = qmap.is_continuous()
     # An open image containing c contains c's row, so the images inside
     # that row cover c only if one of them equals it.
-    base = all(r in images for r in key)
+    base = images.issuperset(key)
     return Quotient(
         space=space,
         family=fam,
         classes=classes,
-        assign=tuple(assign),
+        assign=assign,
         quotient_space=qspace,
         map=qmap,
         identity_holds=identity,

@@ -78,7 +78,7 @@ def _random_merge(rng: random.Random, space: FiniteSpace) -> SpaceMap:
     for x, r in enumerate(space.rows):
         for y in bits_of(r):
             rows[assign[x]] |= 1 << assign[y]
-    return SpaceMap(space, FiniteSpace.from_preorder(rows), assign)
+    return SpaceMap._from_built(space, FiniteSpace.from_preorder(rows), tuple(assign))
 
 
 def random_quotient_chain(

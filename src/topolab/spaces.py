@@ -467,6 +467,12 @@ class SpaceMap:
     ``is_surjective`` counts the distinct image points.  Skeletality is
     decided once per map and kept; the kept answer takes no part in
     equality or hashing.
+
+    ``SpaceMap(domain, codomain, assign)`` checks input from outside
+    (``jsonio``, tests, user code): it converts each entry with ``int``
+    and requires one image point in range per domain point.  Maps whose
+    assignment the library has built itself, already in range, come
+    through ``_from_built`` instead, which skips the checks.
     """
 
     __slots__ = ("domain", "codomain", "assign", "_skeletal")
@@ -475,9 +481,9 @@ class SpaceMap:
         assign = tuple(int(a) for a in assign)
         if len(assign) != domain.point_count:
             raise ValueError("assignment must cover every domain point")
+        if assign and codomain.point_count == 0:
+            raise ValueError("no map into the empty space from a nonempty one")
         for a in assign:
-            if codomain.point_count == 0:
-                raise ValueError("no map into the empty space from a nonempty one")
             if not 0 <= a < codomain.point_count:
                 raise ValueError("image point %d out of range" % a)
         self.domain = domain
@@ -486,8 +492,22 @@ class SpaceMap:
         self._skeletal = _UNDECIDED
 
     @classmethod
+    def _from_built(
+        cls, domain: FiniteSpace, codomain: FiniteSpace, assign: tuple[int, ...]
+    ) -> "SpaceMap":
+        """The map of an assignment the library has built: a tuple of
+        ints, one per domain point, each a codomain point.  Nothing is
+        converted or checked; ``__init__`` would accept it unchanged."""
+        m = cls.__new__(cls)
+        m.domain = domain
+        m.codomain = codomain
+        m.assign = assign
+        m._skeletal = _UNDECIDED
+        return m
+
+    @classmethod
     def identity(cls, space: FiniteSpace) -> "SpaceMap":
-        return cls(space, space, range(space.point_count))
+        return cls._from_built(space, space, tuple(range(space.point_count)))
 
     def image_of(self, mask: int) -> int:
         assign = self.assign
@@ -509,7 +529,9 @@ class SpaceMap:
         """self after inner."""
         if inner.codomain != self.domain:
             raise ValueError("composition mismatch")
-        return SpaceMap(inner.domain, self.codomain, (self.assign[a] for a in inner.assign))
+        return SpaceMap._from_built(
+            inner.domain, self.codomain, tuple([self.assign[a] for a in inner.assign])
+        )
 
     def is_continuous(self) -> bool:
         """Each domain row maps into the codomain row of its image point:
@@ -530,7 +552,7 @@ class SpaceMap:
         return all(self.codomain.is_open(self.image_of(row)) for row in self.domain.rows)
 
     def is_surjective(self) -> bool:
-        # __init__ has put every image point in range
+        # every image point is in range, by __init__ or by its builder
         return len(set(self.assign)) == self.codomain.point_count
 
     def is_skeletal(self) -> bool:

@@ -287,7 +287,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
             if cod.point_count > dom.point_count:
                 continue
             for assign in _continuous_surjections(dom, cod):
-                m = SpaceMap(dom, cod, assign)
+                m = SpaceMap._from_built(dom, cod, assign)
                 surjection_count += 1
                 tag = [dom_tag, cod_tag, list(assign)]
                 skel = m.is_skeletal()

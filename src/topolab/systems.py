@@ -238,7 +238,7 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
         threads = [()]
     space = from_subbasis(len(threads), subbasis)
     projections = tuple(
-        SpaceMap(space, sys.spaces[i], (thread[i] for thread in threads))
+        SpaceMap._from_built(space, sys.spaces[i], tuple([thread[i] for thread in threads]))
         for i in range(n)
     )
     return LimitSpace(system=sys, threads=tuple(threads), space=space, projections=projections)
@@ -302,11 +302,8 @@ def system_from_families(space: FiniteSpace, collection: Iterable[Iterable[int]]
         if i == j:
             continue
         fine, coarse = quotients[j], quotients[i]
-        assign = []
-        for cls in fine.classes:
-            rep = (cls & -cls).bit_length() - 1
-            assign.append(coarse.assign[rep])
-        bonds[(i, j)] = SpaceMap(fine.quotient_space, coarse.quotient_space, assign)
+        assign = tuple([coarse.assign[(cls & -cls).bit_length() - 1] for cls in fine.classes])
+        bonds[(i, j)] = SpaceMap._from_built(fine.quotient_space, coarse.quotient_space, assign)
     system = InverseSystem(
         poset=poset,
         spaces=tuple(q.quotient_space for q in quotients),
@@ -345,7 +342,7 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
     for x in range(space.point_count):
         thread = tuple(q.assign[x] for q in famsys.quotients)
         assign.append(thread_index[thread])
-    f = SpaceMap(space, lim.space, assign)
+    f = SpaceMap._from_built(space, lim.space, tuple(assign))
 
     union_members = sorted({m for fam in famsys.families for m in fam.members})
     separates = all(

@@ -455,5 +455,12 @@ def test_empty_space():
     assert e.closure(0) == 0 and e.is_dense(0)
     m = SpaceMap(e, e, ())
     assert m.is_continuous() and m.is_surjective() and m.is_skeletal()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no map into the empty space"):
         SpaceMap(FiniteSpace(1, [0, 1]), e, [0])
+    # the other rejections of outside input, each met directly
+    with pytest.raises(ValueError, match="must cover every domain point"):
+        SpaceMap(D2, SIERP, [0])
+    with pytest.raises(ValueError, match="image point -1 out of range"):
+        SpaceMap(D2, SIERP, [0, -1])
+    with pytest.raises(ValueError, match="image point 2 out of range"):
+        SpaceMap(D2, SIERP, [2, 0])

@@ -9,11 +9,12 @@ from topolab.errors import (
     NotAChain,
     NotDirected,
 )
-from topolab.families import OpenFamily
+from topolab.families import OpenFamily, build_quotient
 from topolab.game import build_tclub_member, verify_winning
 from topolab.jsonio import encode_strategy
 from topolab.randgen import random_quotient_chain, random_union_closed_families, random_space, rng_for
 from topolab.spaces import FiniteSpace, SpaceMap
+from topolab.suites import _continuous_surjections
 from topolab.systems import (
     DirectedPoset,
     InverseSystem,
@@ -28,6 +29,7 @@ from topolab.systems import (
 
 from oracles import (
     commutation_witness_by_compose,
+    every_family,
     greedy_chain_by_le,
     limit_topology_by_every_node,
     open_onto_image_by_opens,
@@ -314,6 +316,38 @@ def test_merge_steps_carry_the_quotient_topology():
             merged += m < step.domain.point_count
             assert step.codomain == FiniteSpace(m, quotient_opens_by_subsets(step.domain, step.assign, m))
     assert merged > 60
+
+
+def test_library_built_maps_pass_the_outside_check():
+    """Every map the library builds by ``SpaceMap._from_built``, unchecked,
+    is one that ``SpaceMap.__init__`` accepts and builds equal: a tuple of
+    plain ints, one per domain point, each a codomain point."""
+    maps = []
+    for space in all_spaces(3):
+        maps.append(SpaceMap.identity(space))
+        for members in every_family(space):
+            q = build_quotient(space, members)
+            assert q.assign is q.map.assign
+            maps.append(q.map)
+        # the skeletal section of the quotient suite builds these
+        for cod in all_spaces(space.point_count, min_points=1):
+            for assign in _continuous_surjections(space, cod):
+                maps.append(SpaceMap._from_built(space, cod, assign))
+    rng = rng_for(5, "built-maps")
+    for i in range(40):
+        space = random_space(rng, 1 + (i % 4))
+        fs = system_from_families(space, random_union_closed_families(rng, space, 3))
+        f, _ = embedding_map(fs)
+        maps += [f, *fs.system.bonds.values(), *limit_space(fs.system).projections]
+        chain = random_quotient_chain(rng, 1 + (i % 5), 2 + (i % 3), discrete_top=(i % 4 == 0))
+        top = chain.poset.n - 1
+        maps += [*chain.bonds.values(), *limit_space(chain).projections]
+        maps += [chain.bond(0, top).compose(SpaceMap.identity(chain.spaces[top]))]
+    for m in maps:
+        assert type(m.assign) is tuple and len(m.assign) == m.domain.point_count
+        assert all(type(a) is int and 0 <= a < m.codomain.point_count for a in m.assign)
+        assert m == SpaceMap(m.domain, m.codomain, list(m.assign))
+    assert len(maps) > 3000
 
 
 def test_projection_functoriality():
