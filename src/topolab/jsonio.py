@@ -183,10 +183,11 @@ def decode_system(obj: dict) -> InverseSystem:
     spaces = tuple(decode_space(obj["spaces"][str(i)]) for i in range(n))
     bonds = {}
     for key, assign in obj["bonds"].items():
-        low, sep, high = str(key).partition("<=")
-        if not (sep and low.isdecimal() and high.isdecimal() and poset.le(int(low), int(high))):
-            raise ValueError("bond key %r names no pair i<=j of the poset" % key)
-        i, j = int(low), int(high)
+        low, _, high = str(key).partition("<=")
+        i, j = (int(low), int(high)) if low.isdecimal() and high.isdecimal() else (-1, -1)
+        # only the canonical key, so no pair is named twice
+        if key != "%d<=%d" % (i, j) or not poset.le(i, j):
+            raise ValueError("bond key %r is not i<=j for a pair of the poset" % key)
         bonds[(i, j)] = SpaceMap(spaces[j], spaces[i], _assignment(assign))
     system = InverseSystem(poset=poset, spaces=spaces, bonds=bonds)
     if not system.check.ok:

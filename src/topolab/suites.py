@@ -390,7 +390,7 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
             rep.check(vm.winning, "minimal_open_strategy_verified", tag)
             t = play(space, sol.strategy, EchoStrategy())
             rep.check(
-                t.outcome == "I-wins" and len(t.rounds) <= space.point_count,
+                t.outcome == "I-wins" and len(t.rounds) <= len(space.minimal_open_family()),
                 "solver_beats_echo_quickly",
                 tag,
             )

@@ -4,13 +4,13 @@ the base space into the limit, and the winning strategy lifted to a limit.
 
 A finite directed poset has a top node and the bonds commute, so each
 point p of the top space fixes one thread, (bond(i, top)(p))_i, and every
-thread is fixed so.  ``limit_space`` reads the threads off the top space,
-and its topology too: each projection is ``bond(i, top)`` after the top
-projection, and a continuous bond pulls each open back to an open of the
-top space, so the top rows generate every pulled-back open.  The limit is
-the top space with its points relabeled, and every projection is onto.
-The search over the product of the node point sets and the pull-back
-from every node live on in ``tests/oracles.py``.
+thread is fixed so.  A continuous bond pulls each open of its node back to
+an open of the top space, so the topology the projections generate is the
+top topology.  The limit is therefore the top space itself, thread p being
+the thread of top point p, and the projection onto node i is
+``bond(i, top)``, which is onto.  The search over the product of the node
+point sets and the pull-back from every node live on in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .families import OpenFamily, Quotient, build_quotient
 from .game import RoundRobinStrategy, Strategy
-from .spaces import FiniteSpace, SpaceMap, bits_of, from_subbasis
+from .spaces import FiniteSpace, SpaceMap, bits_of
 
 __all__ = [
     "DirectedPoset",
@@ -205,8 +205,9 @@ def validate_system(sys: InverseSystem) -> SystemCheck:
 
 @dataclass(frozen=True)
 class LimitSpace:
-    """The limit of ``system``: threads, their projection-generated
-    topology, and the projections."""
+    """The limit of ``system``: the top space, ``threads[p]`` the thread
+    of its point p, and the bonds into the top as the projections.  The
+    system without nodes has one empty thread on a one-point space."""
 
     system: InverseSystem
     threads: tuple[tuple[int, ...], ...]
@@ -218,30 +219,12 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
     if not sys.check.ok:
         raise InvalidSystem(sys.check.witness)
     n = sys.poset.n
-    subbasis = set()
-    if n:
-        # Each point of the top space fixes one thread, and every thread.
-        top = sys.poset.top()
-        bonds = [sys.bond(i, top).assign for i in range(n)]
-        threads = sorted(
-            tuple(assign[p] for assign in bonds) for p in range(sys.spaces[top].point_count)
-        )
-        # The top rows are a base of the top space, and every other node's
-        # opens pull back through the continuous bond(i, top) to top opens.
-        for v in set(sys.spaces[top].rows):
-            mask = 0
-            for ti, thread in enumerate(threads):
-                if (v >> thread[top]) & 1:
-                    mask |= 1 << ti
-            subbasis.add(mask)
-    else:
-        threads = [()]
-    space = from_subbasis(len(threads), subbasis)
-    projections = tuple(
-        SpaceMap._from_built(space, sys.spaces[i], tuple([thread[i] for thread in threads]))
-        for i in range(n)
-    )
-    return LimitSpace(system=sys, threads=tuple(threads), space=space, projections=projections)
+    if not n:
+        return LimitSpace(system=sys, threads=((),), space=FiniteSpace.discrete(1), projections=())
+    top = sys.poset.top()
+    projections = tuple(sys.bond(i, top) for i in range(n))
+    threads = tuple(zip(*(b.assign for b in projections)))
+    return LimitSpace(system=sys, threads=threads, space=sys.spaces[top], projections=projections)
 
 
 @dataclass(frozen=True)
@@ -334,15 +317,17 @@ class EmbeddingReport:
 
 
 def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
-    """Send each point to the thread of its classes; report what holds."""
+    """Send each point to the thread of its classes; report what holds.
+
+    The thread of x is the thread of x's class in the top quotient, so the
+    map is the top quotient map.  An empty collection has the one-point
+    limit, and every point goes to it."""
     space = famsys.space
     lim = limit_space(famsys.system)
-    thread_index = {t: i for i, t in enumerate(lim.threads)}
-    assign = []
-    for x in range(space.point_count):
-        thread = tuple(q.assign[x] for q in famsys.quotients)
-        assign.append(thread_index[thread])
-    f = SpaceMap._from_built(space, lim.space, tuple(assign))
+    if famsys.quotients:
+        f = famsys.quotients[famsys.system.poset.top()].map
+    else:
+        f = SpaceMap._from_built(space, lim.space, (0,) * space.point_count)
 
     union_members = sorted({m for fam in famsys.families for m in fam.members})
     separates = all(
@@ -350,7 +335,7 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
         for x in range(space.point_count)
         for y in range(x + 1, space.point_count)
     )
-    injective = len(set(assign)) == space.point_count
+    injective = len(set(f.assign)) == space.point_count
     # A member holding x inside row[x] is row[x].
     base = set(space.rows) <= set(union_members)
     image = f.image_of(space.full)
@@ -441,14 +426,13 @@ def check_sigma_completeness(
     The canonical map sends a point of the sup space to the thread of its
     bond images along the chain; the check passes when that map is a
     homeomorphism.  A finite chain's limit is the space at its top node,
-    each point of which fixes one thread, so the canonical map is
-    ``bond(top, sup)`` followed by a homeomorphism.  On a valid system
-    that bond is onto and continuous, so the map is a homeomorphism
-    exactly when the bond is one-to-one and open; no thread can lack a
-    preimage and the map cannot fail continuity.  The witness is
-    ``("thread", t)``, with t the least thread of a top point that two sup
-    points reach, or ``("not_open",)`` for a one-to-one bond that is not
-    open.
+    and thread p is the thread of top point p, so the canonical map is
+    ``bond(top, sup)`` itself.  On a valid system that bond is onto and
+    continuous, so the map is a homeomorphism exactly when the bond is
+    one-to-one and open; no thread can lack a preimage and the map cannot
+    fail continuity.  The witness is ``("thread", t)``, with t the least
+    thread of a top point that two sup points reach, or ``("not_open",)``
+    for a one-to-one bond that is not open.
 
     The default sup is the chain's top, its least upper bound, where the
     check is the degenerate (always-true-for-valid-systems) reading;

@@ -479,7 +479,7 @@ def threads_by_search(sys) -> tuple[tuple[int, ...], ...]:
     """Every thread of a valid inverse system, by backtracking over the
     product of the node point sets: a partial thread grows by one node at
     a time, keeping only points that agree with every bond to an earlier
-    node.  Sorted, as ``LimitSpace.threads``."""
+    node.  Ordered by the top node's point, as ``LimitSpace.threads``."""
     n = sys.poset.n
     threads: list[tuple[int, ...]] = []
     counts = [sp.point_count for sp in sys.spaces]
@@ -504,7 +504,9 @@ def threads_by_search(sys) -> tuple[tuple[int, ...], ...]:
                 partial.pop()
 
     extend([])
-    threads.sort()
+    if n:
+        top = sys.poset.top()
+        threads.sort(key=lambda thread: thread[top])
     return tuple(threads)
 
 

@@ -185,6 +185,13 @@ def _edited(path, value):
     return blob
 
 
+def _rekeyed(key):
+    """The bond 0<=1 under another key."""
+    blob = _two_node_system_blob()
+    blob["bonds"][key] = blob["bonds"].pop("0<=1")
+    return blob
+
+
 def _star_system_blob(n):
     """A valid system of one-point spaces over n nodes, each below the last."""
     point = FiniteSpace.discrete(1)
@@ -212,6 +219,9 @@ MALFORMED_SYSTEMS = [
     ("extra space", _edited(["spaces", "2"], SIERP)),
     ("bond key not a pair", _edited(["bonds", "x"], [0, 1])),
     ("bond key outside the order", _edited(["bonds", "1<=0"], [0, 1])),
+    ("bond key with a leading zero", _rekeyed("00<=1")),
+    ("bond key in other digits", _rekeyed("\u0660<=\u0661")),
+    ("bond key given twice", _edited(["bonds", "00<=1"], [0, 0, 1, 1])),
     ("bond assignment too short", _edited(["bonds", "0<=1"], [0, 0, 1])),
     ("bond point out of range", _edited(["bonds", "0<=1"], [0, 0, 1, 100000000000])),
     ("missing bond", _edited(["bonds", "0<=1"], DROP)),

@@ -128,6 +128,7 @@ MUTANTS = [
         suites.game_suite,
         "solver_beats_small_transducers",
     ),
+    (solver_accepting_replies_that_do_not_grow, suites.game_suite, "solver_beats_echo_quickly"),
     (
         minimal_open_family_dropping_its_last_member,
         suites.game_suite,

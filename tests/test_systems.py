@@ -250,6 +250,10 @@ def test_limit_is_the_top_node_on_the_seed_42_suite_systems():
         lim = limit_space(sys)
         assert lim.space == limit_topology_by_every_node(sys)
         assert all(p.is_surjective() for p in lim.projections)
+        top = sys.poset.top()
+        assert lim.space is sys.spaces[top]
+        assert all(lim.projections[i] is sys.bond(i, top) for i in range(sys.poset.n))
+        assert all(thread[top] == p for p, thread in enumerate(lim.threads))
 
 
 def test_limit_requires_valid_system():
@@ -426,6 +430,7 @@ def test_club_collection_gives_skeletal_bonds():
 def test_embedding_identity_and_homeomorphism():
     fs = system_from_families(CHAIN3, [[0b001], [0b001, 0b011]])
     f, rep = embedding_map(fs)
+    assert f is fs.quotients[fs.system.poset.top()].map
     assert rep.continuous and rep.image_dense and rep.image_identity_holds
     assert rep.separates_points == rep.injective
     assert rep.homeomorphism_onto_limit
