@@ -1,10 +1,13 @@
 """Exhaustive catalogues of labeled topologies on small point sets.
 
-Two independent routes are kept on purpose.  The fast route searches
+Two independent routes are kept on purpose.  The fast route enumerates
 reflexive transitive relations and takes their up-set topologies (finite
-topologies correspond one-to-one to preorders).  The search fixes one row
-at a time and drops a candidate row as soon as it breaks transitivity
-against the rows already fixed, so it only visits prefixes of preorders.
+topologies correspond one-to-one to preorders).  It fixes one row at a
+time, from the last point down, and carries the union closure of the rows
+fixed so far.  Each point's candidate rows are generated from that closure
+and the fixed rows that hold the point, and every candidate is valid, so
+the search visits only prefixes of preorders and rejects nothing; at a
+leaf the carried unions are the space's opens.
 The slow route never touches preorders: it decides the subsets of the
 points one at a time, in ascending order, and prunes a branch as soon as
 the subsets taken so far break a lattice axiom that no later decision can
@@ -33,36 +36,72 @@ def preorders(n: int) -> Iterator[tuple[int, ...]]:
     """All reflexive transitive relations on n points, as row bitmasks.
 
     Lexicographic on (rows[n-1], ..., rows[0]): rows are fixed from the last
-    point down, each trying its masks in ascending order.  A row for p stays
-    only if transitive against each fixed row q: p in rows[q] forces it
-    inside rows[q], q in it forces rows[q] inside it.  Any prefix that
-    passes extends (by rows {p}), so the search meets no dead end.
+    point down, and each point p takes its rows in ascending order.  They
+    are generated, not tried: a row for p is p together with a union of
+    fixed rows and any lower points, all inside the meet of the fixed rows
+    that hold p.  ``_preorder_search`` proves these are exactly the rows
+    transitive against the fixed ones.
     """
-    rows = [0] * n
-
-    def extend(p: int) -> Iterator[tuple[int, ...]]:
-        if p < 0:
-            yield tuple(rows)
-            return
-        bit = 1 << p
-        fixed = rows[p + 1 :]
-        for cand in range(bit, 1 << n):
-            if not cand & bit:
-                continue
-            for q, row in enumerate(fixed, p + 1):
-                if (row & bit and cand & ~row) or ((cand >> q) & 1 and row & ~cand):
-                    break
-            else:
-                rows[p] = cand
-                yield from extend(p - 1)
-
-    yield from extend(n - 1)
+    for rows, _ in _preorder_search(n):
+        yield rows
 
 
 def all_topologies(n: int) -> Iterator[FiniteSpace]:
-    """The up-set topology of each preorder, whose rows are already closed."""
-    for rows in preorders(n):
-        yield FiniteSpace._from_closed_rows(rows)
+    """The up-set topology of each preorder, in the order of ``preorders``;
+    its opens are the unions the search carries to the leaf."""
+    for rows, opens in _preorder_search(n):
+        yield FiniteSpace(n, opens, _rows=rows)
+
+
+def _preorder_search(n: int) -> Iterator[tuple[tuple[int, ...], set[int]]]:
+    """Each preorder on n points with its opens, in the order of ``preorders``.
+
+    The search fixes rows from point n-1 down and carries ``unions``, the
+    union closure of the rows fixed so far, with 0.  A new row for p must
+    hold p and be transitive against each placed point q > p:
+
+    - if q is in the row, rows[q] lies inside it.  So the placed points of
+      the row are covered by V, the union of their rows, which lies inside
+      the row: the row is bit_p | V | L, with V a carried union and L a set
+      of points below p;
+    - if p is in rows[q], the row lies inside rows[q].  Over all such q
+      that is the bound U, the meet of the fixed rows holding p, or every
+      point if none does.  So V and L lie inside U.
+
+    Conversely each bit_p | V | L with V a carried union inside U and L a
+    submask of the points below p in U is valid: it lies inside U, and a
+    placed q in it lies in V, in some fixed row r of V; the fixed rows are
+    transitive, so rows[q] lies inside r and inside V.  Every prefix
+    extends (by rows {p}), so the search meets no dead end, and at the
+    leaf ``unions`` is exactly the space's opens.
+    """
+    full = (1 << n) - 1
+    rows = [0] * n
+
+    def extend(p: int, unions: set[int]) -> Iterator[tuple[tuple[int, ...], set[int]]]:
+        if p < 0:
+            yield tuple(rows), unions
+            return
+        bit = 1 << p
+        bound = full
+        for row in rows[p + 1 :]:
+            if row & bit:
+                bound &= row
+        lower = (bit - 1) & bound
+        cands = set()
+        for v in unions:
+            if v & ~bound == 0:
+                base = v | bit
+                sub = lower
+                while sub:
+                    cands.add(base | sub)
+                    sub = (sub - 1) & lower
+                cands.add(base)
+        for row in sorted(cands):
+            rows[p] = row
+            yield from extend(p - 1, unions | {u | row for u in unions})
+
+    yield from extend(n - 1, {0})
 
 
 def all_spaces(max_points: int, min_points: int = 0) -> list[FiniteSpace]:

@@ -120,11 +120,12 @@ class FiniteSpace:
     member for every member o and row (o = 0 makes each row one):
     O(|opens|*n) lookups, not O(|opens|**2).
 
-    Every other constructor builds from rows, which need only a range
-    check, through ``_from_closed_rows``: it takes the ``union_closure``
-    of rows that are already reflexive and transitive and hands them to
-    ``__init__`` as ``_rows``, which skips the derivation and the check,
-    so every space is still constructed by ``__init__``.  Its callers:
+    Every other constructor builds from rows that are already reflexive
+    and transitive, which need only a range check, and hands them to
+    ``__init__`` as ``_rows`` with their union closure as the opens;
+    ``_rows`` skips the derivation and the check, so every space is still
+    constructed by ``__init__``.  ``_from_closed_rows`` computes that
+    ``union_closure``.  Its callers:
 
     - ``from_preorder`` (and the named constructors through it) closes
       arbitrary rows first, by the package's one Warshall pass;
@@ -135,9 +136,11 @@ class FiniteSpace:
       inlines ``meet_rows`` of the member images, so the row of a class
       holds the class, and each class in it lies in every image holding
       the class.  It builds one space for each distinct rows tuple and
-      shares it among the quotients with those rows;
-    - ``enumeration.all_topologies``: ``preorders`` yields only reflexive
-      transitive rows.
+      shares it among the quotients with those rows.
+
+    ``enumeration.all_topologies`` calls ``__init__`` itself: its search
+    generates only reflexive transitive rows and carries their union
+    closure down, so at each leaf the opens are already made.
 
     Three derived facts are computed on first use and kept in slots that
     ``__init__`` sets to None, so construction pays nothing for them and
@@ -169,7 +172,7 @@ class FiniteSpace:
                     raise ValueError("opens not closed under union/intersection")
             _rows = tuple(rows)
         else:
-            # from_preorder: the opens are the union closure of closed rows.
+            # Built from closed rows: the opens are their union closure.
             open_set = frozenset(opens)
         self.point_count = point_count
         self.full = full

@@ -208,6 +208,36 @@ def preorders_by_filter(n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def preorders_by_trial(n: int) -> Iterator[tuple[int, ...]]:
+    """All reflexive transitive relations on n points, as row bitmasks.
+
+    Lexicographic on (rows[n-1], ..., rows[0]): rows are fixed from the last
+    point down, each trying its masks in ascending order.  A row for p stays
+    only if transitive against each fixed row q: p in rows[q] forces it
+    inside rows[q], q in it forces rows[q] inside it.  Any prefix that
+    passes extends (by rows {p}), so the search meets no dead end.
+    """
+    rows = [0] * n
+
+    def extend(p: int) -> Iterator[tuple[int, ...]]:
+        if p < 0:
+            yield tuple(rows)
+            return
+        bit = 1 << p
+        fixed = rows[p + 1 :]
+        for cand in range(bit, 1 << n):
+            if not cand & bit:
+                continue
+            for q, row in enumerate(fixed, p + 1):
+                if (row & bit and cand & ~row) or ((cand >> q) & 1 and row & ~cand):
+                    break
+            else:
+                rows[p] = cand
+                yield from extend(p - 1)
+
+    yield from extend(n - 1)
+
+
 def is_topology(n: int, family) -> bool:
     """The lattice axioms on subsets of n points, checked pair by pair."""
     fam = set(family)

@@ -5,7 +5,7 @@ import pytest
 from topolab.enumeration import all_topologies, preorders
 from topolab.spaces import FiniteSpace
 
-from oracles import is_topology, preorders_by_filter, upset_opens
+from oracles import is_topology, preorders_by_filter, preorders_by_trial, upset_opens
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -13,7 +13,12 @@ def test_preorders_match_filter_in_order(n):
     assert list(preorders(n)) == preorders_by_filter(n)
 
 
-@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("n", range(6))
+def test_preorders_match_trial_in_order(n):
+    assert list(preorders(n)) == list(preorders_by_trial(n))
+
+
+@pytest.mark.parametrize("n", range(6))
 def test_all_topologies_are_the_upset_topologies_of_preorders(n):
     for space, rows in zip(all_topologies(n), preorders(n), strict=True):
         assert space.rows == rows
@@ -22,7 +27,16 @@ def test_all_topologies_are_the_upset_topologies_of_preorders(n):
 
 @pytest.mark.parametrize("n, count", [(5, 6942), (6, 209_527)])
 def test_preorder_counts_match_oeis_a000798(n, count):
-    assert sum(1 for _ in preorders(n)) == count
+    """Counts, and the documented order: each rows tuple, read from the
+    last point down, is strictly greater than the one before."""
+    seen = 0
+    last = ()
+    for rows in preorders(n):
+        key = rows[::-1]
+        assert last < key, rows
+        last = key
+        seen += 1
+    assert seen == count
 
 
 def _accepts(n, family):
