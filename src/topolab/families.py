@@ -11,13 +11,14 @@ and skeletal-family checking.
 A family carries its space, and ``OpenFamily`` checks its members once,
 when it is built; every function here reads ``family.space``.  Only
 ``build_quotient`` (and ``systems.system_from_families``) take a space and
-raw masks, and each builds the family exactly once.
+raw masks, and each builds the family exactly once.  ``OpenFamily`` is a
+``__slots__`` class, immutable by convention; ``Quotient`` is a
+``NamedTuple`` record, so its fields cannot be assigned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotAPiBase, NotContinuous
 from .spaces import FiniteSpace, SpaceMap, meet_rows, union_closure
@@ -36,18 +37,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class OpenFamily:
     """A set of open sets of one space.  The empty set may or may not be a
-    member; game-facing operations ignore it, ring operations keep it."""
+    member; game-facing operations ignore it, ring operations keep it.
 
-    space: FiniteSpace
-    members: frozenset[int]
+    ``OpenFamily(space, members)`` takes a frozenset of masks and checks
+    that each is open.  Equality and hashing compare the space and the
+    members; nothing changes them after construction.
+    """
 
-    def __post_init__(self):
-        if not self.members <= self.space._open_set:
-            bad = sorted(self.members - self.space._open_set)
+    __slots__ = ("space", "members")
+
+    def __init__(self, space: FiniteSpace, members: frozenset[int]):
+        if not members <= space._open_set:
+            bad = sorted(members - space._open_set)
             raise ValueError("family member %r is not open" % bad[0])
+        self.space = space
+        self.members = members
 
     @classmethod
     def of(cls, space: FiniteSpace, members: Iterable[int]) -> "OpenFamily":
@@ -82,6 +88,19 @@ class OpenFamily:
     def __iter__(self):
         return iter(self.sorted_members)
 
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, OpenFamily)
+            and self.space == other.space
+            and self.members == other.members
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.members))
+
+    def __repr__(self) -> str:
+        return f"OpenFamily({self.space!r}, {list(self.sorted_members)})"
+
 
 def classes_of(family: OpenFamily) -> tuple[int, ...]:
     """Partition of the points by equal membership across the family.
@@ -98,8 +117,7 @@ def classes_of(family: OpenFamily) -> tuple[int, ...]:
     return tuple(classes.values())
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(NamedTuple):
     """A space quotiented by an open family.
 
     ``identity_holds`` records that every member equals the preimage of its

@@ -14,13 +14,17 @@ terminates inside the finite powerset.  The club member of a clopen
 seed is the clopen algebra, built outright.  The solver offers only
 minimal opens, and Player II must return a minimal open whole, so every
 Player II transducer plays the same line against the solver as the echo.
+
+``Transcript``, ``PlayTrace`` and ``VerifyResult`` are ``NamedTuple``
+records, so their fields cannot be assigned.  ``GameSolution`` is a
+``__slots__`` class, immutable by convention, whose equality and hash
+leave out its table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EmptySpace, IllegalMove, NotClopen, StateOverflow
 from .families import OpenFamily, is_skeletal_family
@@ -172,22 +176,39 @@ class TableStrategy(Strategy):
 # -- solving -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class GameSolution:
     """Winner plus the full table: covered set -> (status, optimal move).
 
     A status of "dense" needs no move; every other covered set is "win",
     paired with the least minimal open it misses.  Player I wins every
-    finite space, so ``winner`` is always "I".
+    finite space, so ``winner`` is always "I".  Equality and hashing
+    compare the space and the winner, not the table, which the solver
+    derives from the space; nothing changes the fields after construction.
     """
 
-    space: FiniteSpace
-    winner: str
-    table: dict[int, tuple[str, int | None]] = field(compare=False)
+    __slots__ = ("space", "winner", "table")
+
+    def __init__(self, space: FiniteSpace, winner: str, table: dict[int, tuple[str, int | None]]):
+        self.space = space
+        self.winner = winner
+        self.table = table
 
     @property
     def strategy(self) -> PositionalStrategy:
         return PositionalStrategy(self.space, self.table)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, GameSolution)
+            and self.space == other.space
+            and self.winner == other.winner
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.winner))
+
+    def __repr__(self) -> str:
+        return f"GameSolution({self.space!r}, {self.winner!r})"
 
 
 def solve_open_open(space: FiniteSpace) -> GameSolution:
@@ -230,15 +251,13 @@ def minimal_open_strategy(space: FiniteSpace) -> RoundRobinStrategy:
 # -- playing and verifying ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     rounds: tuple[tuple[int, int], ...]
     covered: tuple[int, ...]
     outcome: str  # "I-wins" | "II-survives" | "cutoff"
 
 
-@dataclass(frozen=True)
-class PlayTrace:
+class PlayTrace(NamedTuple):
     """A concrete run of the game; ``loop_start`` marks the first round of
     a cycle the opponent can repeat forever."""
 
@@ -246,8 +265,7 @@ class PlayTrace:
     loop_start: int | None = None
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     winning: bool
     counterexample: PlayTrace | None
     nodes_explored: int

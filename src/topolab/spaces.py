@@ -12,14 +12,17 @@ generators, quotient classes from a family, clopen atoms from the
 clopens) and ``union_closure`` gives every union of some given sets.
 ``clopens``, ``nonempty_opens`` and ``opens_inside`` list the opens.  The
 minimal opens, the dense core and the opens inside a set are derived once,
-on first use, and kept; every value is immutable after construction apart
-from those kept facts, and safe to share.
+on first use, and kept.
+
+``SeparationReport`` and ``FrinkReport`` are ``NamedTuple`` records, so
+assigning to a field raises.  ``FiniteSpace`` and ``SpaceMap`` are
+``__slots__`` classes that nothing changes after construction apart from
+those kept facts; they are immutable by convention, and safe to share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotABase, NotContinuous, NotSurjective
 
@@ -78,8 +81,7 @@ def union_closure(sets: Iterable) -> set:
     return out
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     """Separation axioms of a finite space.  There ``hausdorff`` equals
     ``t1`` and ``completely_regular`` equals ``regular``."""
 
@@ -90,8 +92,7 @@ class SeparationReport:
     completely_regular: bool
 
 
-@dataclass(frozen=True)
-class FrinkReport:
+class FrinkReport(NamedTuple):
     """Outcome of the two base conditions, with a least witness on failure.
 
     cond1_witness is a (point, base member) pair, cond2_witness a pair of

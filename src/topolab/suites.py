@@ -9,7 +9,6 @@ yields byte-identical output run after run.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from . import jsonio
 from .enumeration import all_spaces, all_topologies, count_topologies_bruteforce
@@ -66,15 +65,22 @@ MAX_SUITE_POINTS = 4
 MAX_SUITE_SAMPLES = 10_000
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    seed: int
-    max_points: int
-    samples: int
-    cases_run: int = 0
-    counts: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
+    """One suite's running tally; ``check`` adds to it as the suite runs."""
+
+    __slots__ = ("name", "seed", "max_points", "samples", "cases_run", "counts", "violations")
+
+    def __init__(
+        self, name: str, seed: int, max_points: int, samples: int, cases_run: int = 0,
+        counts: dict | None = None, violations: list | None = None,
+    ):
+        self.name = name
+        self.seed = seed
+        self.max_points = max_points
+        self.samples = samples
+        self.cases_run = cases_run
+        self.counts = {} if counts is None else counts
+        self.violations = [] if violations is None else violations
 
     def check(self, ok: bool, prop: str, witness, cases: int = 1) -> None:
         self.cases_run += cases

@@ -11,12 +11,18 @@ the thread of top point p, and the projection onto node i is
 ``bond(i, top)``, which is onto.  The search over the product of the node
 point sets and the pull-back from every node live on in
 ``tests/oracles.py``.
+
+``DirectedPoset`` and ``InverseSystem`` are ``__slots__`` classes,
+immutable by convention; an ``InverseSystem`` validates itself once, when
+it is built.  Every result here (``SystemCheck``, ``LimitSpace``,
+``SkeletalSystemReport``, ``FamilySystem``, ``EmbeddingReport``,
+``SigmaReport``) is a ``NamedTuple`` record, so its fields cannot be
+assigned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     EmptySpace,
@@ -58,10 +64,11 @@ class DirectedPoset:
     directedness are all enforced at construction, in one pass over the
     pairs of the order: j in rows[i] needs rows[j] inside rows[i], and a
     finite poset is directed exactly when it has a top, the one element
-    every row holds.
+    every row holds.  The pairs of the order are listed on first use and
+    kept.
     """
 
-    __slots__ = ("labels", "rows", "_top")
+    __slots__ = ("labels", "rows", "_top", "_pairs")
 
     def __init__(self, labels: Iterable, leq: Iterable[tuple[int, int]]):
         labels = tuple(labels)
@@ -88,6 +95,7 @@ class DirectedPoset:
         self.labels = labels
         self.rows = tuple(rows)
         self._top = common.bit_length() - 1 if n else None
+        self._pairs = None
 
     @property
     def n(self) -> int:
@@ -100,7 +108,10 @@ class DirectedPoset:
             return False
 
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, row in enumerate(self.rows) for j in bits_of(row)]
+        """Every (i, j) with i <= j, by i and then j, as a new list."""
+        if self._pairs is None:
+            self._pairs = tuple((i, j) for i, row in enumerate(self.rows) for j in bits_of(row))
+        return list(self._pairs)
 
     def top(self) -> int:
         if self._top is None:
@@ -146,13 +157,11 @@ class DirectedPoset:
         return f"DirectedPoset({self.labels!r})"
 
 
-@dataclass(frozen=True)
-class SystemCheck:
+class SystemCheck(NamedTuple):
     ok: bool
     witness: str | None
 
 
-@dataclass(frozen=True)
 class InverseSystem:
     """Spaces indexed by a directed poset with bonding maps downward.
 
@@ -160,22 +169,38 @@ class InverseSystem:
     Identity bonds on the diagonal may be omitted; they are filled in.
     ``check`` is the verdict of ``validate_system``, run once when the
     system is built, so an invalid system can be built and diagnosed.
+    Equality compares the poset, the spaces and the bonds, not ``check``;
+    the bonds are a dict, so a system has no hash.  Nothing changes the
+    fields after construction.
     """
 
-    poset: DirectedPoset
-    spaces: tuple[FiniteSpace, ...]
-    bonds: Mapping[tuple[int, int], SpaceMap]
-    check: SystemCheck = field(init=False, compare=False)
+    __slots__ = ("poset", "spaces", "bonds", "check")
 
-    def __post_init__(self):
-        filled = dict(self.bonds)
-        for i, space in enumerate(self.spaces[: self.poset.n]):
+    def __init__(
+        self, poset: DirectedPoset, spaces: tuple[FiniteSpace, ...],
+        bonds: Mapping[tuple[int, int], SpaceMap],
+    ):
+        filled = dict(bonds)
+        for i, space in enumerate(spaces[: poset.n]):
             filled.setdefault((i, i), SpaceMap.identity(space))
-        object.__setattr__(self, "bonds", filled)
-        object.__setattr__(self, "check", validate_system(self))
+        self.poset = poset
+        self.spaces = spaces
+        self.bonds = filled
+        self.check = validate_system(self)
 
     def bond(self, low: int, high: int) -> SpaceMap:
         return self.bonds[(low, high)]
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, InverseSystem)
+            and self.poset == other.poset
+            and self.spaces == other.spaces
+            and self.bonds == other.bonds
+        )
+
+    def __repr__(self) -> str:
+        return f"InverseSystem({self.poset!r}, {self.spaces!r})"
 
 
 def validate_system(sys: InverseSystem) -> SystemCheck:
@@ -203,8 +228,7 @@ def validate_system(sys: InverseSystem) -> SystemCheck:
     return SystemCheck(True, None)
 
 
-@dataclass(frozen=True)
-class LimitSpace:
+class LimitSpace(NamedTuple):
     """The limit of ``system``: the top space, ``threads[p]`` the thread
     of its point p, and the bonds into the top as the projections.  The
     system without nodes has one empty thread on a one-point space."""
@@ -227,8 +251,7 @@ def limit_space(sys: InverseSystem) -> LimitSpace:
     return LimitSpace(system=sys, threads=threads, space=sys.spaces[top], projections=projections)
 
 
-@dataclass(frozen=True)
-class SkeletalSystemReport:
+class SkeletalSystemReport(NamedTuple):
     """Per-bond and per-projection skeletality, plus the proposition that
     skeletal bonds force skeletal projections.  Every projection of a
     finite limit is onto, so the hypothesis is that every bond is
@@ -257,8 +280,7 @@ def check_skeletal_system(lim: LimitSpace) -> SkeletalSystemReport:
     )
 
 
-@dataclass(frozen=True)
-class FamilySystem:
+class FamilySystem(NamedTuple):
     """An inverse system of quotients by a directed collection of families."""
 
     space: FiniteSpace
@@ -295,8 +317,7 @@ def system_from_families(space: FiniteSpace, collection: Iterable[Iterable[int]]
     return FamilySystem(space=space, families=families, quotients=quotients, system=system)
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(NamedTuple):
     """Diagnostics for the canonical map of the base space into the limit.
 
     ``homeomorphism_onto_limit`` bundles continuity, bijectivity onto the
@@ -411,8 +432,7 @@ class LimitRoundRobin(RoundRobinStrategy):
         self.chain = chain
 
 
-@dataclass(frozen=True)
-class SigmaReport:
+class SigmaReport(NamedTuple):
     ok: bool
     sup: int
     witness: tuple | None

@@ -3,13 +3,11 @@ that a suite property rests on, runs the suite at small size and requires
 a violation of the named property, so the property can fail.  A property
 that no planted fault trips is degenerate or unguarded."""
 
-import dataclasses
-
 import pytest
 
 from topolab import families, jsonio, suites
 from topolab.enumeration import all_spaces
-from topolab.game import count_ii_strategies, play
+from topolab.game import GameSolution, count_ii_strategies, play
 from topolab.spaces import FiniteSpace
 
 from oracles import enumerate_ii_strategies
@@ -20,7 +18,7 @@ def always_completely_regular(monkeypatch):
     real = FiniteSpace.separation_flags
 
     def lying(space):
-        return dataclasses.replace(real(space), completely_regular=True)
+        return real(space)._replace(completely_regular=True)
 
     monkeypatch.setattr(FiniteSpace, "separation_flags", lying)
 
@@ -58,7 +56,7 @@ def solver_accepting_replies_that_do_not_grow(monkeypatch):
             s: (status, next((a for a in space.nonempty_opens() if a & ~s), None))
             for s, (status, _) in sol.table.items()
         }
-        return dataclasses.replace(sol, table=table)
+        return GameSolution(sol.space, sol.winner, table)
 
     monkeypatch.setattr(suites, "solve_open_open", mutant)
 
@@ -187,7 +185,7 @@ def test_transducers_are_played_one_by_one_when_the_certificate_fails(monkeypatc
 
     def opening_with_the_whole_space(space):
         sol = real(space)
-        return dataclasses.replace(sol, table={**sol.table, 0: ("win", space.full)})
+        return GameSolution(sol.space, sol.winner, {**sol.table, 0: ("win", space.full)})
 
     tables_played = 0
     real_play = suites.play
