@@ -2,8 +2,11 @@
 
 The key construction: a family P of opens identifies points that belong to
 exactly the same members, and the images of members generate a topology on
-the classes.  The classes group the points by their ``meet_rows`` entry,
-and the quotient's rows are the meets of the member images.  Alongside
+the classes.  ``build_quotient`` groups the points by their ``meet_rows``
+entry, walks each member once for its image and the preimage identity, and
+takes each class's quotient row as the image of its meet row, which is the
+meet of the member images holding the class.  ``classes_of`` groups the
+points on its own, off that path, for callers and cross-checks.  Alongside
 live the sequence-closure operator (the finite shadow of cozero
 behaviour), ring closure (the ``union_closure`` of the members' meets),
 and skeletal-family checking.
@@ -109,7 +112,8 @@ def classes_of(family: OpenFamily) -> tuple[int, ...]:
     members holding them: two points lie in the same members exactly when
     their meets agree, since each point lies in its own meet.  Classes
     come out as bitmasks in order of their lowest point, the order in
-    which the points are scanned.
+    which the points are scanned.  ``build_quotient`` groups the points
+    in its own loop, which also keeps each class's meet row.
     """
     classes: dict[int, int] = {}
     for x, row in enumerate(meet_rows(family.space.point_count, family.members)):
@@ -148,57 +152,69 @@ _QUOTIENT_SPACES_CAP = 1024
 def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
     """Quotient of ``space`` by the family of the open masks ``members``.
 
-    One pass over the members: a member's image is the classes of its
-    points, and that image is ANDed into the row of each of its classes,
-    so each row ends as the meet of the images holding its class, the full
-    set if none does.  That is ``meet_rows`` of the images, inlined so
-    that the same walk takes each image and tests the identity: the union
-    of an image's classes is its preimage.  ``from_subbasis``, which
-    applies ``meet_rows``, stays the quotient topology's definition:
-    ``test_image_is_base_against_oracle_exhaustive`` in
+    One loop over ``meet_rows`` of the members groups the points: two
+    points lie in the same members exactly when their meets agree, so
+    each distinct meet M(c) is one class c, indexed by its lowest point.
+    One walk over each member's bits then takes its image, the OR of its
+    points' class bits, and tests the identity inline: a member is the
+    preimage of its image exactly when no class it touches sticks out.
+
+    The quotient row of class c is the image q(M(c)).  When the identity
+    holds, each member is a union of classes, and so is M(c), the meet of
+    the members holding c (every point if none does).  Then q(M(c)) is
+    the meet of the images holding c, that is ``meet_rows`` of the
+    images: it lies in each, and a class d in each meets, so lies in,
+    each member holding c, so lies in M(c).  The rows are a preorder, as
+    ``_from_closed_rows`` requires: c lies in M(c), so in its own row;
+    and d in the row of c lies in every member holding c, so M(d) lies in
+    M(c) and the row of d in the row of c.  ``meet_rows`` groups by equal
+    membership, so the identity holds for every family; only a broken
+    grouping breaks it, which ``identity_holds`` reports.
+    ``from_subbasis`` of the images stays the quotient topology's
+    definition: ``test_image_is_base_against_oracle_exhaustive`` in
     ``tests/test_families.py`` checks every quotient on at most 3 points
     against it and against an oracle.
 
-    One pass over the classes gives each point its class index and its
-    class bit, which the walk reads.  The indices form one ``assign``
-    tuple, shared by ``Quotient.assign`` and the map; it is in range by
-    construction, so the map comes from ``SpaceMap._from_built``.  The
-    quotient space is shared: one ``FiniteSpace`` serves every call with
+    The ``assign`` tuple is shared by ``Quotient.assign`` and the map; it
+    is in range by construction, so the map comes from
+    ``SpaceMap._from_built``.  One ``FiniteSpace`` serves every call with
     the same rows, since the rows fix the space.  The family, the
     classes, the map and the three verdicts are computed on every call.
     """
     fam = OpenFamily.of(space, members)
-    classes = classes_of(fam)
-    assign = [0] * space.point_count
-    class_bit = [0] * space.point_count
-    for idx, c in enumerate(classes):
-        bit = 1 << idx
-        while c:
-            low = c & -c
-            x = low.bit_length() - 1
-            assign[x] = idx
-            class_bit[x] = bit
-            c ^= low
+    meets: dict[int, int] = {}
+    classes = []
+    assign = []
+    for x, meet in enumerate(meet_rows(space.point_count, fam.members)):
+        idx = meets.setdefault(meet, len(meets))
+        if idx == len(classes):
+            classes.append(1 << x)
+        else:
+            classes[idx] |= 1 << x
+        assign.append(idx)
+    classes = tuple(classes)
     assign = tuple(assign)
-    rows = [(1 << len(classes)) - 1] * len(classes)
     images = set()
     identity = True
     for m in fam.members:
-        img = pre = 0
+        img = 0
         b = m
         while b:
             low = b & -b
-            img |= class_bit[low.bit_length() - 1]
-            b ^= low
-        b = img
-        while b:
-            low = b & -b
-            idx = low.bit_length() - 1
-            rows[idx] &= img
-            pre |= classes[idx]
+            idx = assign[low.bit_length() - 1]
+            img |= 1 << idx
+            if classes[idx] & ~m:
+                identity = False
             b ^= low
         images.add(img)
-        identity = identity and pre == m
+    rows = []
+    for meet in meets:
+        img = 0
+        while meet:
+            low = meet & -meet
+            img |= 1 << assign[low.bit_length() - 1]
+            meet ^= low
+        rows.append(img)
     key = tuple(rows)
     qspace = _QUOTIENT_SPACES.get(key)
     if qspace is None:
@@ -206,20 +222,11 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
         if len(_QUOTIENT_SPACES) < _QUOTIENT_SPACES_CAP:
             _QUOTIENT_SPACES[key] = qspace
     qmap = SpaceMap._from_built(space, qspace, assign)
-    continuous = qmap.is_continuous()
     # An open image containing c contains c's row, so the images inside
     # that row cover c only if one of them equals it.
-    base = images.issuperset(key)
     return Quotient(
-        space=space,
-        family=fam,
-        classes=classes,
-        assign=assign,
-        quotient_space=qspace,
-        map=qmap,
-        identity_holds=identity,
-        q_continuous=continuous,
-        image_is_base=base,
+        space, fam, classes, assign, qspace, qmap, identity,
+        qmap.is_continuous(), images.issuperset(key),
     )
 
 

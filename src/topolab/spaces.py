@@ -133,11 +133,12 @@ class FiniteSpace:
     - ``from_subbasis`` passes the ``meet_rows`` of the generators:
       rows[x] holds x, and each y in it has every generator holding x,
       so rows[y] is inside rows[x];
-    - ``families.build_quotient``, for the same reason: its fused walk
-      inlines ``meet_rows`` of the member images, so the row of a class
-      holds the class, and each class in it lies in every image holding
-      the class.  It builds one space for each distinct rows tuple and
-      shares it among the quotients with those rows.
+    - ``families.build_quotient``: the row of a class is the image of
+      the class's meet row, which equals ``meet_rows`` of the member
+      images whenever each member is the preimage of its image, so it
+      holds the class, and each class in it has its row inside it.  It
+      builds one space for each distinct rows tuple and shares it among
+      the quotients with those rows.
 
     ``enumeration.all_topologies`` calls ``__init__`` itself: its search
     generates only reflexive transitive rows and carries their union
@@ -146,8 +147,9 @@ class FiniteSpace:
     Three derived facts are computed on first use and kept in slots that
     ``__init__`` sets to None, so construction pays nothing for them and
     equality and hashing ignore them: ``_minimal`` for
-    ``minimal_open_family``, ``_core`` for ``dense_core`` and ``_inside``,
-    a dict filled per set, for ``opens_inside``.
+    ``minimal_open_family`` and ``_core``, the union of the minimal opens,
+    for ``dense_core`` (one pass fills both), and ``_inside``, a dict
+    filled per set, for ``opens_inside``.
     """
 
     __slots__ = (
@@ -285,11 +287,13 @@ class FiniteSpace:
         In a finite space these form a pi-base: every nonempty open
         contains one of them.  A row is minimal exactly when every point
         in it has that same row: each such point's row lies inside it,
-        and a smaller row would hold a point whose row is smaller.
+        and a smaller row would hold a point whose row is smaller.  The
+        same pass keeps their union as the dense core.
         """
         if self._minimal is None:
             rows = self.rows
             keep = []
+            core = 0
             for r in set(rows):
                 m = r
                 while m:
@@ -299,28 +303,21 @@ class FiniteSpace:
                     m ^= low
                 else:
                     keep.append(r)
+                    core |= r
             keep.sort()
             self._minimal = tuple(keep)
+            self._core = core
         return self._minimal
 
     def dense_core(self) -> int:
-        """The points whose row is their own class: every y in rows[x]
-        has x in rows[y].  These are the points of the minimal opens, so
-        an open set is dense exactly when it holds all of them (an open
-        meeting a minimal open holds it, and every row holds one)."""
+        """The points of the minimal opens, kept by the pass of
+        ``minimal_open_family``.  They are the points whose row is their
+        own class (every y in rows[x] has x in rows[y]), since a row is
+        minimal exactly when each of its points has that row.  An open set
+        is dense exactly when it holds all of them: an open meeting a
+        minimal open holds it, and every row holds one."""
         if self._core is None:
-            rows = self.rows
-            core = 0
-            for x, row in enumerate(rows):
-                m = row
-                while m:
-                    low = m & -m
-                    if not (rows[low.bit_length() - 1] >> x) & 1:
-                        break
-                    m ^= low
-                else:
-                    core |= 1 << x
-            self._core = core
+            self.minimal_open_family()
         return self._core
 
     def opens_inside(self, mask: int) -> tuple[int, ...]:

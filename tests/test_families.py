@@ -57,18 +57,40 @@ def test_classes_match_signatures_random():
         assert classes_of(fam) == classes_by_signature(space, fam.members), fam
 
 
+def test_quotient_classes_against_independent_groupings():
+    # build_quotient groups the points in its own loop; the membership
+    # signatures and classes_of group them off that path.
+    pairs = [(space, members) for space in all_spaces(3) for members in every_family(space)]
+    rng = rng_for(8, "quotient-classes")
+    spaces4 = all_spaces(4, min_points=4)
+    sample = [(space, random_family(rng, space).members) for space in rng.choices(spaces4, k=1500)]
+    for space, members in pairs + sample:
+        q = build_quotient(space, members)
+        assert q.classes == classes_by_signature(space, members), (space, members)
+        assert q.classes == classes_of(q.family)
+        for x in range(space.point_count):
+            assert (q.classes[q.assign[x]] >> x) & 1
+    for space, members in sample:
+        q = build_quotient(space, members)
+        images = [q.map.image_of(m) for m in members]
+        assert q.quotient_space == from_subbasis(len(q.classes), images), (space, members)
+
+
 def test_identity_check_catches_merged_classes(monkeypatch):
-    # A partition that merges two classes must make the identity check
-    # fail, so the check reads the built map and is no constant.
-    true_classes = families.classes_of
+    # A grouping that merges two classes must make the identity check
+    # fail, so the check reads the built classes and is no constant.
+    # build_quotient groups the points by the meet rows it reads from
+    # families.meet_rows, so equal rows for two classes merge them.
+    true_meet_rows = families.meet_rows
 
-    def merge_first_two(family):
-        classes = true_classes(family)
-        if len(classes) < 2:
-            return classes
-        return (classes[0] | classes[1],) + classes[2:]
+    def merge_first_two(point_count, sets):
+        rows = true_meet_rows(point_count, sets)
+        distinct = list(dict.fromkeys(rows))
+        if len(distinct) < 2:
+            return rows
+        return [distinct[0] if r == distinct[1] else r for r in rows]
 
-    monkeypatch.setattr(families, "classes_of", merge_first_two)
+    monkeypatch.setattr(families, "meet_rows", merge_first_two)
     assert not all(build_quotient(D2, members).identity_holds for members in every_family(D2))
 
 

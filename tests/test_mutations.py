@@ -104,9 +104,10 @@ def quotient_spaces_keyed_by_class_count(monkeypatch):
 
 
 def meet_rows_dropping_its_largest_set(monkeypatch):
-    """``classes_of`` reads ``meet_rows`` without the largest member, so
-    points that the dropped member tells apart fall into one class, and a
-    member is smaller than the preimage of its image."""
+    """``build_quotient`` groups the points by ``meet_rows`` without the
+    largest member, so points that the dropped member tells apart fall
+    into one class, and a member is smaller than the preimage of its
+    image."""
     real = families.meet_rows
 
     def mutant(point_count, sets):
