@@ -5,11 +5,13 @@ exactly the same members, and the images of members generate a topology on
 the classes.  ``build_quotient`` groups the points by their ``meet_rows``
 entry, walks each member once for its image and the preimage identity, and
 takes each class's quotient row as the image of its meet row, which is the
-meet of the member images holding the class.  ``classes_of`` groups the
-points on its own, off that path, for callers and cross-checks.  Alongside
-live the sequence-closure operator (the finite shadow of cozero
-behaviour), ring closure (the ``union_closure`` of the members' meets),
-and skeletal-family checking.
+meet of the member images holding the class.  ``classes_of`` gives the
+same partition for callers; it reads the same ``meet_rows``, so it is no
+independent check of ``build_quotient`` (``tests/oracles.py`` groups the
+points by their membership signatures instead).  Alongside live the
+sequence-closure operator (the finite shadow of cozero behaviour), ring
+closure (the ``union_closure`` of the members' meets), and skeletal-family
+checking.
 
 A family carries its space, and ``OpenFamily`` checks its members once,
 when it is built; every function here reads ``family.space``.  Only

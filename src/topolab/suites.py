@@ -4,6 +4,12 @@ exhaustively at small scale and by seeded sampling above it.
 Each suite returns a SuiteReport whose violations list is empty on
 success.  Reports contain no timing or environment data, so a fixed seed
 yields byte-identical output run after run.
+
+Every check passes its witness as a zero-argument callable, which
+``SuiteReport.check`` calls only when the check fails, so a passing run
+encodes no witness.  A witness draws nothing from an RNG and is called at
+once, reading the loop values of its check, so a report is the same bytes
+whether or not any witness runs.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ SUITE_NAMES = ("quotient", "game", "systems", "roundtrip")
 # exponentially (9,535,241 topologies on 7 points).
 MAX_SUITE_POINTS = 4
 # Every sampled section runs in time linear in the samples; at the cap,
-# suite all --max-points 4 took about 7 s on a shared 2-CPU host.
+# suite all --max-points 4 took 3.2-3.6 s in-process on a shared 2-CPU host.
 MAX_SUITE_SAMPLES = 10_000
 
 
@@ -83,9 +89,17 @@ class SuiteReport:
         self.violations = [] if violations is None else violations
 
     def check(self, ok: bool, prop: str, witness, cases: int = 1) -> None:
+        """Count ``cases`` cases of ``prop``; if ``ok`` is false, record a
+        violation whose witness is ``witness()``.
+
+        ``witness`` is a zero-argument callable, called only on failure and
+        before ``check`` returns, so it sees the caller's current loop
+        values.  It must draw nothing from an RNG: whether it runs may not
+        change what the suite draws next.
+        """
         self.cases_run += cases
         if not ok:
-            self.violations.append({"property": prop, "witness": witness})
+            self.violations.append({"property": prop, "witness": witness()})
 
     @property
     def ok(self) -> bool:
@@ -142,17 +156,17 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
 
     # closure/interior laws and the neighborhood facts, every subset
     for space in all_spaces(max_points):
-        tag = _space_tag(space)
         full = space.full
         for s in range(full + 1):
             cl = space.closure(s)
-            rep.check(space.closure(cl) == cl, "closure_idempotent", [tag, s])
-            rep.check(s & ~cl == 0, "closure_extensive", [tag, s])
-            rep.check(space.interior(s) & ~s == 0, "interior_contractive", [tag, s])
+            inner = space.interior(s)
+            rep.check(space.closure(cl) == cl, "closure_idempotent", lambda: [_space_tag(space), s])
+            rep.check(s & ~cl == 0, "closure_extensive", lambda: [_space_tag(space), s])
+            rep.check(inner & ~s == 0, "interior_contractive", lambda: [_space_tag(space), s])
             rep.check(
-                space.interior(s) == full ^ space.closure(full ^ s),
+                inner == full ^ space.closure(full ^ s),
                 "interior_closure_dual",
-                [tag, s],
+                lambda: [_space_tag(space), s],
             )
         minimal = space.minimal_open_family()
         for x in range(space.point_count):
@@ -160,42 +174,42 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
             rep.check(
                 space.is_open(m) and all(not ((o >> x) & 1) or m & ~o == 0 for o in space.opens),
                 "minimal_neighborhood_least",
-                [tag, x],
+                lambda: [_space_tag(space), x],
             )
         for o in space.nonempty_opens():
             rep.check(
                 any(m & ~o == 0 for m in minimal),
                 "pi_base_minimal_opens",
-                [tag, o],
+                lambda: [_space_tag(space), o],
             )
 
         flags = space.separation_flags()
         rep.check(
             (not flags.hausdorff or flags.t1) and (not flags.t1 or flags.t0),
             "separation_implications",
-            tag,
+            lambda: _space_tag(space),
         )
         rep.check(
             not (flags.regular and flags.t0) or flags.hausdorff,
             "regular_t0_hausdorff",
-            tag,
+            lambda: _space_tag(space),
         )
         if flags.hausdorff:
             fr = frink_conditions(space, space.opens)
-            rep.check(fr.cond1 and fr.cond2, "frink_on_hausdorff", tag)
+            rep.check(fr.cond1 and fr.cond2, "frink_on_hausdorff", lambda: _space_tag(space))
         # two-valued-map oracle for the clopen-base reading of complete regularity
         oracle = _completely_regular_oracle(space)
         rep.check(
             flags.completely_regular == oracle,
             "completely_regular_oracle",
-            tag,
+            lambda: _space_tag(space),
         )
 
     # quotient identity, continuity and base behavior, every family
     for space in small:
-        stag = _space_tag(space)
         for members in _families_over(space):
-            tag = [stag, sorted(members)]
+            def tag():
+                return [_space_tag(space), sorted(members)]
             q = build_quotient(space, members)
             fam = q.family
             rep.check(q.identity_holds, "q_preimage_identity", tag)
@@ -244,7 +258,6 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
     # quotient by all opens is the T0 reflection: classes group points with
     # equal minimal neighborhoods, images of opens are exactly the opens
     for space in small:
-        tag = _space_tag(space)
         q = build_quotient(space, space.opens)
         by_nbhd: dict[int, int] = {}
         for x in range(space.point_count):
@@ -253,18 +266,18 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
         rep.check(
             set(by_nbhd.values()) == set(q.classes),
             "t0_reflection_classes",
-            tag,
+            lambda: _space_tag(space),
         )
         quotient_kind = {q.map.image_of(o) for o in space.opens}
         rep.check(
             quotient_kind == set(q.quotient_space.opens),
             "t0_reflection_opens_are_images",
-            tag,
+            lambda: _space_tag(space),
         )
         rep.check(
             q.quotient_space.separation_flags().t0,
             "t0_reflection_is_t0",
-            tag,
+            lambda: _space_tag(space),
         )
 
     # random families on 4 and 5 points for the sequence-closure agreement
@@ -275,41 +288,45 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
         fam = random_family(rng, space)
         a = seq_family(fam).members
         b = seq_family_bruteforce(fam).members
-        rep.check(a == b, "seq_closed_form_vs_search_random", [i, _space_tag(space), sorted(fam.members)])
+        rep.check(
+            a == b,
+            "seq_closed_form_vs_search_random",
+            lambda: [i, _space_tag(space), sorted(fam.members)],
+        )
     rep.counts["seq_random_samples"] = samples
 
     # skeletal suite: maps vs families, dense preimages, open implies skeletal
     surjection_count = 0
     codomains = [
-        (cod, _space_tag(cod), list(_pi_bases(cod)), [v for v in cod.opens if cod.is_dense(v)])
+        (cod, list(_pi_bases(cod)), [v for v in cod.opens if cod.is_dense(v)])
         for cod in small
         if cod.point_count
     ]
     for dom in small:
         if dom.point_count == 0:
             continue
-        dom_tag = _space_tag(dom)
-        for cod, cod_tag, pibases, dense_opens in codomains:
+        for cod, pibases, dense_opens in codomains:
             if cod.point_count > dom.point_count:
                 continue
             for assign in _continuous_surjections(dom, cod):
                 m = SpaceMap._from_built(dom, cod, assign)
                 surjection_count += 1
-                tag = [dom_tag, cod_tag, list(assign)]
+                def tag():
+                    return [_space_tag(dom), _space_tag(cod), list(assign)]
                 skel = m.is_skeletal()
                 for pibase, fam in zip(pibases, families_from_map(m, pibases)):
                     ok, _ = is_skeletal_family(fam)
                     rep.check(
                         ok == skel,
                         "skeletal_family_iff_map",
-                        tag + [sorted(pibase)],
+                        lambda: tag() + [sorted(pibase)],
                     )
                 if skel:
                     for v in dense_opens:
                         rep.check(
                             dom.is_dense(m.preimage_of(v)),
                             "skeletal_dense_preimage",
-                            tag + [v],
+                            lambda: tag() + [v],
                         )
                 if m.is_open_map():
                     rep.check(
@@ -387,18 +404,17 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
         count = 0
         for space in all_topologies(n):
             count += 1
-            tag = _space_tag(space)
             sol = solve_open_open(space)
-            rep.check(sol.winner == "I", "player_I_wins_everywhere", tag)
+            rep.check(sol.winner == "I", "player_I_wins_everywhere", lambda: _space_tag(space))
             vr = verify_winning(space, sol.strategy)
-            rep.check(vr.winning, "solver_strategy_verified", tag)
+            rep.check(vr.winning, "solver_strategy_verified", lambda: _space_tag(space))
             vm = verify_winning(space, minimal_open_strategy(space))
-            rep.check(vm.winning, "minimal_open_strategy_verified", tag)
+            rep.check(vm.winning, "minimal_open_strategy_verified", lambda: _space_tag(space))
             t = play(space, sol.strategy, EchoStrategy())
             rep.check(
                 t.outcome == "I-wins" and len(t.rounds) <= len(space.minimal_open_family()),
                 "solver_beats_echo_quickly",
-                tag,
+                lambda: _space_tag(space),
             )
         per_n[n] = count
     rep.counts["topologies_per_n"] = per_n
@@ -410,7 +426,7 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
     rep.check(
         per_n.get(top_n) == brute,
         "enumeration_cross_check",
-        {"n": top_n, "preorder_count": per_n.get(top_n), "bruteforce_count": brute},
+        lambda: {"n": top_n, "preorder_count": per_n.get(top_n), "bruteforce_count": brute},
     )
     rep.counts["bruteforce_count_n%d" % top_n] = brute
 
@@ -421,9 +437,10 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
         space = random_space(rng, n)
         q0 = random_clopen_seed(rng, space)
         fam = build_tclub_member(q0)
-        tag = [i, _space_tag(space), sorted(q0.members)]
+        def tag():
+            return [i, _space_tag(space), sorted(q0.members)]
         ok_s, wit = check_condition_S(fam)
-        rep.check(ok_s, "tclub_condition_S", tag + [wit])
+        rep.check(ok_s, "tclub_condition_S", lambda: tag() + [wit])
         rep.check(fam.is_ring(), "tclub_is_ring", tag)
         rep.check(
             fam.members <= seq_family(fam).members,
@@ -452,7 +469,7 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
         rep.check(
             ok_s,
             "winning_closure_condition_S",
-            [i, _space_tag(space), sorted(seed_fam.members), wit],
+            lambda: [i, _space_tag(space), sorted(seed_fam.members), wit],
         )
     rep.counts["solver_closure_samples"] = closure_samples
 
@@ -463,7 +480,6 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
     # transducer is played and checked, in enumeration order
     vs_count = 0
     for space in all_spaces(min(3, max_points), min_points=1):
-        tag = _space_tag(space)
         sol = solve_open_open(space)
         echo = play(space, sol.strategy, EchoStrategy())
         minimal = set(space.minimal_open_family())
@@ -474,13 +490,18 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
                 continue
             vs_count += count
             if certified:
-                rep.check(True, "solver_beats_small_transducers", None, cases=count)
+                rep.check(
+                    True,
+                    "solver_beats_small_transducers",
+                    lambda: [_space_tag(space), states],
+                    cases=count,
+                )
                 continue
             for opp in _ii_transducers(space, states):
                 rep.check(
                     _beats_quickly(space, play(space, sol.strategy, opp)),
                     "solver_beats_small_transducers",
-                    [tag, states, jsonio.encode_strategy(opp)["table"][:4]],
+                    lambda: [_space_tag(space), states, jsonio.encode_strategy(opp)["table"][:4]],
                 )
     rep.counts["opponents_played"] = vs_count
     return rep
@@ -517,16 +538,17 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
         n = 2 + (i % max(max_points - 1, 1))
         length = 2 + (i % 2)
         sys = random_quotient_chain(rng, n, length, discrete_top=(i % 5 == 0))
-        tag = [i, jsonio.encode_system(sys)["bonds"]]
+        def tag():
+            return [i, jsonio.encode_system(sys)["bonds"]]
         chk = sys.check
-        rep.check(chk.ok, "sampled_system_valid", tag + [chk.witness])
+        rep.check(chk.ok, "sampled_system_valid", lambda: tag() + [chk.witness])
         if not chk.ok:
             continue
         lim = limit_space(sys)
         for low, high in sys.poset.pairs():
             lhs = lim.projections[low]
             rhs = sys.bond(low, high).compose(lim.projections[high])
-            rep.check(lhs == rhs, "projection_functoriality", tag + [[low, high]])
+            rep.check(lhs == rhs, "projection_functoriality", lambda: tag() + [[low, high]])
         report = check_skeletal_system(lim)
         if report.hypothesis_holds:
             skeletal_hypothesis += 1
@@ -559,7 +581,6 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
     homeos = 0
     vacuous = 0
     for space in all_spaces(max_points, min_points=1):
-        tag = _space_tag(space)
         seeds = [()] + [(c,) for c in space.clopens() if c]
         members = [build_tclub_member(OpenFamily.of(space, s)) for s in seeds]
         famsys = system_from_families(space, members)
@@ -567,35 +588,35 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
             rep.check(
                 q.map.is_skeletal(),
                 "club_system_node_skeletal",
-                tag,
+                lambda: _space_tag(space),
             )
         for low, high in famsys.system.poset.pairs():
             rep.check(
                 famsys.system.bond(low, high).is_skeletal(),
                 "club_system_bond_skeletal",
-                [tag, [low, high]],
+                lambda: [_space_tag(space), [low, high]],
             )
         f, emb = embedding_map(famsys)
         embeddings += 1
-        rep.check(emb.continuous, "embedding_continuous", tag)
-        rep.check(emb.image_dense, "embedding_image_dense", tag)
-        rep.check(emb.image_identity_holds, "embedding_image_identity", tag)
+        rep.check(emb.continuous, "embedding_continuous", lambda: _space_tag(space))
+        rep.check(emb.image_dense, "embedding_image_dense", lambda: _space_tag(space))
+        rep.check(emb.image_identity_holds, "embedding_image_identity", lambda: _space_tag(space))
         rep.check(
             emb.injective == emb.separates_points,
             "embedding_injective_iff_separating",
-            tag,
+            lambda: _space_tag(space),
         )
         if emb.separates_points and emb.union_is_base:
             rep.check(
                 emb.homeomorphism_onto_limit,
                 "embedding_homeomorphism_when_separating_base",
-                tag,
+                lambda: _space_tag(space),
             )
         if emb.separates_points:
             rep.check(
                 emb.homeomorphism_onto_limit,
                 "embedding_homeomorphism_when_separating",
-                tag,
+                lambda: _space_tag(space),
             )
             homeos += 1
         if emb.vacuous_for_clopen_base:
@@ -603,7 +624,7 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
         # sigma-completeness along every chain in the (small) poset
         for a, b in famsys.system.poset.pairs():
             sig = check_sigma_completeness(famsys.system, [a, b])
-            rep.check(sig.ok, "sigma_complete_on_chains", [tag, [a, b]])
+            rep.check(sig.ok, "sigma_complete_on_chains", lambda: [_space_tag(space), [a, b]])
     rep.counts["club_embeddings"] = embeddings
     rep.counts["club_embeddings_homeomorphic"] = homeos
     rep.counts["club_embeddings_vacuous_for_clopen_base"] = vacuous
@@ -615,25 +636,24 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
         n = 2 + (i % 2)
         space = random_space(rng2, n)
         fams = random_union_closed_families(rng2, space, rng2.randint(1, 3))
-        tag = [i, _space_tag(space)]
         famsys = system_from_families(space, fams)
         chk = famsys.system.check
-        rep.check(chk.ok, "family_system_valid", tag + [chk.witness])
+        rep.check(chk.ok, "family_system_valid", lambda: [i, _space_tag(space), chk.witness])
         f, emb = embedding_map(famsys)
         rep.check(
             emb.image_dense and emb.image_identity_holds,
             "family_system_embedding_basics",
-            tag,
+            lambda: [i, _space_tag(space)],
         )
         if emb.separates_points and emb.union_is_base:
             rep.check(
                 emb.homeomorphism_onto_limit,
                 "family_system_embedding_homeomorphism",
-                tag,
+                lambda: [i, _space_tag(space)],
             )
         for a, b in famsys.system.poset.pairs():
             sig = check_sigma_completeness(famsys.system, [a, b])
-            rep.check(sig.ok, "family_system_sigma_chains", tag + [[a, b]])
+            rep.check(sig.ok, "family_system_sigma_chains", lambda: [i, _space_tag(space), [a, b]])
     rep.counts["directed_family_systems"] = dir_count
     return rep
 
@@ -652,11 +672,11 @@ def roundtrip_suite(max_points: int = 4, samples: int = 1000, seed: int = 0) -> 
             space = random_space(rng, rng.randint(0, max_points))
             blob = jsonio.encode_space(space)
             back = jsonio.decode_space(blob)
-            rep.check(back == space, "space_roundtrip", [i, blob])
+            rep.check(back == space, "space_roundtrip", lambda: [i, blob])
             rep.check(
                 jsonio.dumps(jsonio.encode_space(back)) == jsonio.dumps(blob),
                 "space_roundtrip_bytes",
-                [i, blob],
+                lambda: [i, blob],
             )
         elif kind == 1:
             space = random_space(rng, rng.randint(1, max_points))
@@ -666,7 +686,7 @@ def roundtrip_suite(max_points: int = 4, samples: int = 1000, seed: int = 0) -> 
             rep.check(
                 back.members == fam.members and back.space == fam.space,
                 "family_roundtrip",
-                [i, blob],
+                lambda: [i, blob],
             )
         elif kind == 2:
             sys = random_quotient_chain(rng, rng.randint(2, max_points), 2)
@@ -675,7 +695,7 @@ def roundtrip_suite(max_points: int = 4, samples: int = 1000, seed: int = 0) -> 
             rep.check(
                 jsonio.dumps(jsonio.encode_system(back)) == jsonio.dumps(blob),
                 "system_roundtrip_bytes",
-                [i, blob],
+                lambda: [i, blob],
             )
         else:
             space = random_space(rng, rng.randint(1, max_points))
@@ -684,7 +704,7 @@ def roundtrip_suite(max_points: int = 4, samples: int = 1000, seed: int = 0) -> 
             rep.check(
                 blob == jsonio.dumps(jsonio.encode_solution(solve_open_open(space))),
                 "solution_deterministic",
-                [i, jsonio.encode_space(space)],
+                lambda: [i, jsonio.encode_space(space)],
             )
     return rep
 

@@ -268,7 +268,7 @@ def test_suite_reports_violations_with_exit_1(monkeypatch, capsys):
     # a deliberately broken report must surface as exit code 1 with witness
     def broken(name, max_points, samples, seed):
         rep = SuiteReport("game", seed, max_points, samples)
-        rep.check(False, "injected_failure", {"detail": "mutation smoke test"})
+        rep.check(False, "injected_failure", lambda: {"detail": "mutation smoke test"})
         return [rep]
 
     monkeypatch.setattr(cli, "run_suite", broken)

@@ -58,8 +58,10 @@ def test_classes_match_signatures_random():
 
 
 def test_quotient_classes_against_independent_groupings():
-    # build_quotient groups the points in its own loop; the membership
-    # signatures and classes_of group them off that path.
+    # build_quotient groups the points by their meet_rows entry.  The
+    # membership signatures group them independently; classes_of reads the
+    # same meet_rows, so it only pins that the two loops agree (a fault in
+    # meet_rows escapes it: see test_signature_oracle_sees_a_fault_in_meet_rows).
     pairs = [(space, members) for space in all_spaces(3) for members in every_family(space)]
     rng = rng_for(8, "quotient-classes")
     spaces4 = all_spaces(4, min_points=4)

@@ -7,10 +7,11 @@ import pytest
 
 from topolab import families, jsonio, suites
 from topolab.enumeration import all_spaces
+from topolab.families import build_quotient
 from topolab.game import GameSolution, count_ii_strategies, play
 from topolab.spaces import FiniteSpace
 
-from oracles import enumerate_ii_strategies
+from oracles import classes_by_signature, enumerate_ii_strategies, every_family
 
 
 def always_completely_regular(monkeypatch):
@@ -150,6 +151,22 @@ def test_mutant_violates_its_property(monkeypatch, plant, suite, prop):
     plant(monkeypatch)
     rep = suite(max_points=3, samples=0, seed=0)
     assert any(v["property"] == prop for v in rep.violations)
+    # each failing check has called its witness, and the result is JSON
+    for v in rep.violations:
+        assert not callable(v["witness"]), v["property"]
+        jsonio.dumps(v["witness"])
+
+
+def test_signature_oracle_sees_a_fault_in_meet_rows(monkeypatch):
+    # classes_of reads the same meet_rows as build_quotient, so only the
+    # membership signatures group the points independently of it
+    meet_rows_dropping_its_largest_set(monkeypatch)
+    pairs = [(space, members) for space in all_spaces(3) for members in every_family(space)]
+    disagree = sum(
+        build_quotient(space, members).classes != classes_by_signature(space, members)
+        for space, members in pairs
+    )
+    assert (disagree, len(pairs)) == (296, 1070)
 
 
 def test_transducer_violations_match_playing_every_opponent(monkeypatch):

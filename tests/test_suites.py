@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from topolab import cli
+from topolab import cli, jsonio, suites
 from topolab.enumeration import all_spaces
 from topolab.jsonio import dumps
 from topolab.suites import (
@@ -26,11 +26,24 @@ from oracles import continuous_surjections_by_filter, pi_bases_by_filter, two_va
 
 def test_report_ok_iff_no_violations():
     rep = SuiteReport("demo", 0, 3, 0)
-    rep.check(True, "fine", None)
+    rep.check(True, "fine", lambda: None)
     assert rep.ok and rep.cases_run == 1
-    rep.check(False, "broken", {"x": 1})
+    rep.check(False, "broken", lambda: {"x": 1})
     assert not rep.ok
     assert rep.to_json()["violations_total"] == 1
+
+
+@pytest.mark.parametrize("suite", [quotient_suite, game_suite, systems_suite])
+def test_passing_checks_build_no_witness(monkeypatch, suite):
+    # every witness is built only when its check fails, so a clean run
+    # never encodes a space or a system for one
+    def refuse(*args):
+        raise AssertionError("witness built for a passing check")
+
+    monkeypatch.setattr(suites, "_space_tag", refuse)
+    monkeypatch.setattr(jsonio, "encode_system", refuse)
+    rep = suite(max_points=3, samples=20, seed=0)
+    assert rep.ok and rep.cases_run > 0
 
 
 def test_reports_are_deterministic():

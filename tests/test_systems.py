@@ -140,14 +140,22 @@ def test_wide_posets_build_in_one_pass():
 
 
 def test_validate_examples():
-    const = two_node_system(D2, D2, [0, 1])
-    assert validate_system(const).ok
-    bad = two_node_system(D2, D2, [0, 0])
-    chk = validate_system(bad)
-    assert not chk.ok and "surjective" in chk.witness
-    discont = two_node_system(D2, SIERP, [0, 1])
-    chk2 = validate_system(discont)
-    assert not chk2.ok and "continuous" in chk2.witness
+    # one small system for each verdict, its message pinned
+    assert validate_system(two_node_system(D2, D2, [0, 1])).ok
+    one = DirectedPoset(("a",), [])
+    two = DirectedPoset(("lo", "hi"), [(0, 1)])
+    cases = [
+        (InverseSystem(two, (D2, D2), {}), "missing bond 0<=1"),
+        (InverseSystem(two, (D2, D4), {(0, 1): SpaceMap(D2, D2, [0, 1])}), "bond 0<=1 connects wrong spaces"),
+        (InverseSystem(one, (D2,), {(0, 0): SpaceMap.identity(D4)}), "bond 0<=0 connects wrong spaces"),
+        # the swap of D2 is continuous and onto, and composes with itself
+        # to the identity, so only the diagonal test can refuse it
+        (InverseSystem(one, (D2,), {(0, 0): SpaceMap(D2, D2, [1, 0])}), "diagonal bond at 0 is not the identity"),
+        (two_node_system(D2, SIERP, [0, 1]), "bond 0<=1 is not continuous"),
+        (two_node_system(D2, D2, [0, 0]), "bond 0<=1 is not surjective"),
+    ]
+    for sys, message in cases:
+        assert sys.check == validate_system(sys) == (False, message)
 
 
 def test_validate_commutation():
@@ -157,8 +165,7 @@ def test_validate_commutation():
     sys = InverseSystem(
         poset, (D2, D2, D2), {(0, 1): swap, (1, 2): ident, (0, 2): ident}
     )
-    chk = validate_system(sys)
-    assert not chk.ok and "commute" in chk.witness
+    assert validate_system(sys) == (False, "bonds do not commute along 0<=1<=2")
 
 
 def test_commutation_witness_matches_compose_loop():
