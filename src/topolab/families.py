@@ -10,8 +10,9 @@ same partition for callers; it reads the same ``meet_rows``, so it is no
 independent check of ``build_quotient`` (``tests/oracles.py`` groups the
 points by their membership signatures instead).  Alongside live the
 sequence-closure operator (the finite shadow of cozero behaviour), ring
-closure (the ``union_closure`` of the members' meets), and skeletal-family
-checking.
+closure (the ``union_closure`` of the members' meets), and condition (S),
+decided off the dense core: a family is skeletal exactly when its
+inclusion-minimal nonempty members cover ``space.dense_core()``.
 
 A family carries its space, and ``OpenFamily`` checks its members once,
 when it is built; every function here reads ``family.space``.  Only
@@ -281,23 +282,31 @@ def ring_closure(family: OpenFamily) -> OpenFamily:
 
 
 def is_skeletal_family(family: OpenFamily) -> tuple[bool, int | None]:
-    """Skeletal-family test; empty members are ignored.
+    """Skeletal-family test, condition (S); empty members are ignored.
 
-    Holds when every nonempty open V admits a member W such that every
-    nonempty member inside W meets V.  On failure returns the least open V
-    without such a W.  A subset of a failing V fails too, and every
-    nonempty open contains a row no larger than itself, so that V is a row.
+    (S) holds when every nonempty open V admits a member W such that every
+    nonempty member inside W meets V.  It holds exactly when the
+    inclusion-minimal nonempty members cover the dense core, and on
+    failure the witness is the least minimal open their union misses.
+
+    Proof, from two finite facts: an open that meets a minimal open holds
+    it, and every nonempty open holds a minimal open no larger than
+    itself, as a set and so as an integer.  A subset of a failing V fails
+    too, so the least failing open is a minimal open.  A minimal open V
+    passes exactly when some minimal member M meets it: W = M works, as M
+    is the only nonempty member inside M, and any W that works holds a
+    minimal member, which meets V.  The union of the minimal members is
+    open, so it meets V exactly when it holds V.
     """
     members = [m for m in family.members if m]
-    for v in sorted(set(family.space.rows)):
-        good = False
-        for w in members:
-            if all(u & v for u in members if u & ~w == 0):
-                good = True
-                break
-        if not good:
-            return False, v
-    return True, None
+    cover = 0
+    for m in members:
+        if not any(u != m and u & ~m == 0 for u in members):
+            cover |= m
+    missed = family.space.dense_core() & ~cover
+    if not missed:
+        return True, None
+    return False, next(v for v in family.space.minimal_open_family() if v & missed)
 
 
 def families_from_map(

@@ -462,9 +462,11 @@ def check_condition_S(family: OpenFamily) -> tuple[bool, int | None]:
     """Per-family clause of the club filter: for every nonempty open V
     some member W traps all nonempty members inside it into meeting V.
 
-    Identical to the skeletal-family predicate on the nonempty members;
-    kept as its own name because families closed under a winning strategy
-    must satisfy it.
+    Identical to the skeletal-family predicate on the nonempty members:
+    it holds exactly when the inclusion-minimal nonempty members cover the
+    dense core, and the witness is the least minimal open they miss.  Kept
+    as its own name because families closed under a winning strategy must
+    satisfy it.
     """
     return is_skeletal_family(family)
 

@@ -564,23 +564,27 @@ class SpaceMap:
     def skeletal_witness(self) -> int | None:
         """The least nonempty open violating skeletality, or None.  The
         first call decides it and later calls return the kept answer; a
-        map that is not a continuous surjection raises on every call."""
+        map that is not a continuous surjection raises on every call.
+
+        A continuous surjection f is skeletal exactly when f(core X) lies
+        in core Y, and the witness is the least minimal open of X that
+        misses the preimage of core Y.  Proof: the closure of a set has
+        nonempty interior exactly when the set meets a minimal open of Y,
+        that is, meets core Y, so an open U violates when f(U) misses
+        core Y.  A subset of a violating open violates too, and every
+        nonempty open holds a minimal open no larger than itself, as a set
+        and so as an integer; so the least violating open is a minimal
+        open.  Core Y is open, so its preimage is open, and a minimal open
+        meets an open exactly when it lies inside it.
+        """
         if self._skeletal is not _UNDECIDED:
             return self._skeletal
         if not self.is_continuous():
             raise NotContinuous("skeletality is defined for continuous maps only")
         if not self.is_surjective():
             raise NotSurjective("skeletality is defined for surjections only")
-        # Each nonempty open contains a row no larger than itself, and a
-        # subset of a violating open violates too, so the least violating
-        # open is a row.  The closure of a set has nonempty interior
-        # exactly when the set meets a minimal open, i.e. the dense core.
-        core = self.codomain.dense_core()
-        witness = None
-        for u in sorted(set(self.domain.rows)):
-            if not self.image_of(u) & core:
-                witness = u
-                break
+        into_core = self.preimage_of(self.codomain.dense_core())
+        witness = next((u for u in self.domain.minimal_open_family() if not u & into_core), None)
         self._skeletal = witness
         return witness
 

@@ -689,7 +689,7 @@ def roundtrip_suite(max_points: int = 4, samples: int = 1000, seed: int = 0) -> 
                 lambda: [i, blob],
             )
         elif kind == 2:
-            sys = random_quotient_chain(rng, rng.randint(2, max_points), 2)
+            sys = random_quotient_chain(rng, rng.randint(min(2, max_points), max_points), 2)
             blob = jsonio.encode_system(sys)
             back = jsonio.decode_system(blob)
             rep.check(

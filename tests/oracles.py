@@ -380,6 +380,18 @@ def skeletal_witness_by_opens(m: SpaceMap) -> int | None:
     return None
 
 
+def skeletal_by_nowhere_dense(m: SpaceMap) -> bool:
+    """Whether the preimage of every nowhere-dense set of the codomain is
+    nowhere dense (Mioduszewski & Rudolf); the map must be a continuous
+    surjection."""
+    dom, cod = m.domain, m.codomain
+    return all(
+        dom.interior(dom.closure(m.preimage_of(a))) == 0
+        for a in range(1 << cod.point_count)
+        if cod.interior(cod.closure(a)) == 0
+    )
+
+
 def skeletal_family_by_opens(space: FiniteSpace, members) -> int | None:
     """The least nonempty open V such that every member W holds a nonempty
     member missing V, or None when the family is skeletal."""

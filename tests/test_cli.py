@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from topolab import cli
-from topolab.suites import SuiteReport
+from topolab.suites import SUITE_NAMES, SuiteReport
 
 from cli_env import cap_memory_at_1gib, cli_env
 
@@ -71,6 +71,12 @@ def test_suite_points_outside_the_cap_are_a_usage_error(capsys, points):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: max_points must be between 1 and 4\n"
+
+
+@pytest.mark.parametrize("name", ("all",) + SUITE_NAMES)
+def test_every_suite_runs_at_one_point(capsys, name):
+    assert cli.main(["suite", name, "--max-points", "1", "--samples", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["suites"]
 
 
 def test_env_seed_fallback(monkeypatch, capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from topolab import families
-from topolab.enumeration import all_spaces
+from topolab.enumeration import all_spaces, all_topologies
 from topolab.errors import NotAPiBase, NotContinuous
 from topolab.families import (
     OpenFamily,
@@ -27,6 +27,7 @@ from oracles import (
     pi_bases_by_filter,
     least_open_without_member,
     ring_closure_by_fixpoint,
+    skeletal_by_nowhere_dense,
     skeletal_family_by_opens,
     subbasis_by_meets_and_unions,
 )
@@ -391,13 +392,27 @@ def test_skeletal_maps_pull_dense_opens_to_dense():
 
 
 def test_skeletal_family_against_opens_scan_exhaustive():
-    failing = 0
-    for space in all_spaces(3):
-        for members in every_family(space):
-            witness = skeletal_family_by_opens(space, members)
-            assert is_skeletal_family(OpenFamily.of(space, members)) == (witness is None, witness)
-            failing += witness is not None
-    assert failing > 100
+    # every family on at most 3 points, then seeded families on 4.  A
+    # family whose member images form a pi-base of its quotient is the
+    # preimage family of that pi-base, so it is skeletal exactly when the
+    # quotient map is, which the nowhere-dense route decides.
+    rng = rng_for(0, "skeletal-family")
+    pairs = [(space, members) for space in all_spaces(3) for members in every_family(space)]
+    spaces = list(all_topologies(4))
+    for _ in range(400):
+        space = rng.choice(spaces)
+        pairs.append((space, random_family(rng, space).sorted_members))
+    failing = by_map = 0
+    for space, members in pairs:
+        witness = skeletal_family_by_opens(space, members)
+        assert is_skeletal_family(OpenFamily.of(space, members)) == (witness is None, witness)
+        failing += witness is not None
+        q = build_quotient(space, members)
+        images = [q.map.image_of(m) for m in members if m]
+        if least_open_without_member(q.quotient_space, images) is None:
+            assert (witness is None) == skeletal_by_nowhere_dense(q.map)
+            by_map += 1
+    assert failing > 100 and by_map > 100
 
 
 def test_pi_base_check_against_opens_scan_exhaustive():

@@ -37,6 +37,19 @@ def skeletal_family_skipping_last_row(monkeypatch):
     monkeypatch.setattr(suites, "is_skeletal_family", mutant)
 
 
+def skeletal_family_covering_with_all_members(monkeypatch):
+    """``is_skeletal_family`` covers the dense core with the union of all
+    members, not only the inclusion-minimal ones."""
+
+    def mutant(family):
+        missed = family.space.dense_core() & ~family.union_mask()
+        if not missed:
+            return True, None
+        return False, next(v for v in family.space.minimal_open_family() if v & missed)
+
+    monkeypatch.setattr(suites, "is_skeletal_family", mutant)
+
+
 def is_dense_ignoring_last_row(monkeypatch):
     """``FiniteSpace.is_dense`` never tests the last row."""
 
@@ -120,6 +133,11 @@ def meet_rows_dropping_its_largest_set(monkeypatch):
 MUTANTS = [
     (always_completely_regular, suites.quotient_suite, "completely_regular_oracle"),
     (skeletal_family_skipping_last_row, suites.quotient_suite, "skeletal_family_iff_map"),
+    (
+        skeletal_family_covering_with_all_members,
+        suites.quotient_suite,
+        "skeletal_family_iff_map",
+    ),
     (is_dense_ignoring_last_row, suites.quotient_suite, "skeletal_dense_preimage"),
     (quotient_spaces_keyed_by_class_count, suites.quotient_suite, "meet_closed_continuous"),
     (meet_rows_dropping_its_largest_set, suites.quotient_suite, "q_preimage_identity"),

@@ -32,6 +32,7 @@ from oracles import (
     open_by_images,
     opens_families_by_raw_filter,
     separation_flags_by_definition,
+    skeletal_by_nowhere_dense,
     skeletal_witness_by_opens,
     subbasis_by_meets_and_unions,
     two_valued_separation,
@@ -356,16 +357,24 @@ def test_open_continuous_surjections_are_skeletal():
 
 
 def test_skeletal_witness_against_opens_scan_exhaustive():
+    # every continuous surjection on at most 3 points, then all of them
+    # between seeded pairs of spaces from 4 points onto 1-3 points; each
+    # is checked by the opens scan and by nowhere-dense preimages
+    rng = rng_for(0, "skeletal-witness")
+    small = all_spaces(3)
+    pairs = [(dom, cod) for dom in small for cod in small]
+    doms, cods = list(all_topologies(4)), all_spaces(3, min_points=1)
+    pairs += [(rng.choice(doms), rng.choice(cods)) for _ in range(40)]
     failing = 0
-    for dom in all_spaces(3):
-        for cod in all_spaces(3):
-            if cod.point_count > dom.point_count:
-                continue
-            for m in all_surjections(dom, cod):
-                if m.is_continuous():
-                    witness = m.skeletal_witness()
-                    assert witness == skeletal_witness_by_opens(m)
-                    failing += witness is not None
+    for dom, cod in pairs:
+        if cod.point_count > dom.point_count:
+            continue
+        for m in all_surjections(dom, cod):
+            if m.is_continuous():
+                witness = m.skeletal_witness()
+                assert witness == skeletal_witness_by_opens(m)
+                assert (witness is None) == skeletal_by_nowhere_dense(m)
+                failing += witness is not None
     assert failing > 100
 
 
