@@ -3,9 +3,10 @@
 The key construction: a family P of opens identifies points that belong to
 exactly the same members, and the images of members generate a topology on
 the classes.  ``build_quotient`` groups the points by their ``meet_rows``
-entry, walks each member once for its image and the preimage identity, and
-takes each class's quotient row as the image of its meet row, which is the
-meet of the member images holding the class.  ``classes_of`` gives the
+entry, tests the preimage identity member by member, and takes each
+class's quotient row as the image of its meet row, which is the meet of the
+member images holding the class; the quotient's continuity and base
+verdicts are computed when they are read.  ``classes_of`` gives the
 same partition for callers; it reads the same ``meet_rows``, so it is no
 independent check of ``build_quotient`` (``tests/oracles.py`` groups the
 points by their membership signatures instead).  Alongside live the
@@ -19,11 +20,13 @@ when it is built; every function here reads ``family.space``.  Only
 ``build_quotient`` (and ``systems.system_from_families``) take a space and
 raw masks, and each builds the family exactly once.  ``OpenFamily`` is a
 ``__slots__`` class, immutable by convention; ``Quotient`` is a
-``NamedTuple`` record, so its fields cannot be assigned.
+``NamedTuple`` record, so its fields cannot be assigned, nor can its two
+read-only verdict properties.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotAPiBase, NotContinuous
@@ -63,7 +66,7 @@ class OpenFamily:
 
     @classmethod
     def of(cls, space: FiniteSpace, members: Iterable[int]) -> "OpenFamily":
-        return cls(space, frozenset(map(int, members)))
+        return cls(space, frozenset(map(operator.index, members)))
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
@@ -127,10 +130,18 @@ def classes_of(family: OpenFamily) -> tuple[int, ...]:
 class Quotient(NamedTuple):
     """A space quotiented by an open family.
 
-    ``identity_holds`` records that every member equals the preimage of its
-    image, ``q_continuous`` that the class map is continuous, and
-    ``image_is_base`` that member images generate the quotient opens by
+    The fields are what ``build_quotient`` produces: ``identity_holds``
+    records that every member equals the preimage of its image.  Two
+    verdicts are read-only properties, computed on each read:
+    ``q_continuous``, that the class map is continuous, and
+    ``image_is_base``, that member images generate the quotient opens by
     unions alone.
+
+    ``q_continuous`` holds whenever the points are grouped soundly.  The
+    row of x lies in every open holding x, so in M(c), the meet of the
+    members holding x's class c; so q(row of x) lies in q(M(c)), which is
+    c's quotient row.  It fails only under a construction fault, such as
+    a shared quotient space looked up by the wrong key.
     """
 
     space: FiniteSpace
@@ -140,8 +151,17 @@ class Quotient(NamedTuple):
     quotient_space: FiniteSpace
     map: SpaceMap
     identity_holds: bool
-    q_continuous: bool
-    image_is_base: bool
+
+    @property
+    def q_continuous(self) -> bool:
+        return self.map.is_continuous()
+
+    @property
+    def image_is_base(self) -> bool:
+        # An open image containing c contains c's row, so the images inside
+        # that row cover c only if one of them equals it.
+        images = {self.map.image_of(m) for m in self.family.members}
+        return images.issuperset(self.quotient_space.rows)
 
 
 # The quotient spaces built so far, keyed by their rows: a finite space is
@@ -158,9 +178,9 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
     One loop over ``meet_rows`` of the members groups the points: two
     points lie in the same members exactly when their meets agree, so
     each distinct meet M(c) is one class c, indexed by its lowest point.
-    One walk over each member's bits then takes its image, the OR of its
-    points' class bits, and tests the identity inline: a member is the
-    preimage of its image exactly when no class it touches sticks out.
+    One pass over the members and classes then tests the identity: a
+    member is the preimage of its image exactly when no class it meets
+    sticks out of it.
 
     The quotient row of class c is the image q(M(c)).  When the identity
     holds, each member is a union of classes, and so is M(c), the meet of
@@ -182,7 +202,8 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
     is in range by construction, so the map comes from
     ``SpaceMap._from_built``.  One ``FiniteSpace`` serves every call with
     the same rows, since the rows fix the space.  The family, the
-    classes, the map and the three verdicts are computed on every call.
+    classes, the map and ``identity_holds`` are computed on every call;
+    ``q_continuous`` and ``image_is_base`` only when a caller reads them.
     """
     fam = OpenFamily.of(space, members)
     meets: dict[int, int] = {}
@@ -197,19 +218,11 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
         assign.append(idx)
     classes = tuple(classes)
     assign = tuple(assign)
-    images = set()
     identity = True
     for m in fam.members:
-        img = 0
-        b = m
-        while b:
-            low = b & -b
-            idx = assign[low.bit_length() - 1]
-            img |= 1 << idx
-            if classes[idx] & ~m:
+        for c in classes:
+            if c & m and c & ~m:
                 identity = False
-            b ^= low
-        images.add(img)
     rows = []
     for meet in meets:
         img = 0
@@ -224,12 +237,8 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
         qspace = FiniteSpace._from_closed_rows(key)
         if len(_QUOTIENT_SPACES) < _QUOTIENT_SPACES_CAP:
             _QUOTIENT_SPACES[key] = qspace
-    qmap = SpaceMap._from_built(space, qspace, assign)
-    # An open image containing c contains c's row, so the images inside
-    # that row cover c only if one of them equals it.
     return Quotient(
-        space, fam, classes, assign, qspace, qmap, identity,
-        qmap.is_continuous(), images.issuperset(key),
+        space, fam, classes, assign, qspace, SpaceMap._from_built(space, qspace, assign), identity
     )
 
 
@@ -325,7 +334,7 @@ def families_from_map(
     minimal = cod.minimal_open_family()
     preimages: dict[int, int] = {}
     for pibase in pibases:
-        members = {int(v) for v in pibase}
+        members = set(map(operator.index, pibase))
         if not all(v and cod.is_open(v) for v in members):
             raise NotAPiBase("pi-base members must be nonempty opens")
         # The only nonempty open inside a minimal open is itself, and every

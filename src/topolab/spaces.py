@@ -22,6 +22,7 @@ those kept facts; they are immutable by convention, and safe to share.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NotABase, NotContinuous, NotSurjective
@@ -113,13 +114,15 @@ class FiniteSpace:
     set; ``full`` is the mask of every point.  Equality and hashing
     compare the rows.
 
-    ``FiniteSpace(n, opens)`` validates input from outside: the empty and
-    full sets must be present, and the family closed under union and
-    intersection.  Its rows are the ``meet_rows`` of the opens, one walk
-    over each open's bits.  Since every member and every meet of two is
-    the union of the rows of its points, it suffices that o | row is a
-    member for every member o and row (o = 0 makes each row one):
-    O(|opens|*n) lookups, not O(|opens|**2).
+    ``FiniteSpace(n, opens)`` validates input from outside: each open
+    must be an int (``operator.index``, so a float or a string raises
+    ``TypeError``), the empty and full sets must be present, and the
+    family closed under union and intersection.  Its rows are the
+    ``meet_rows`` of the opens, one walk over each open's bits.  Since
+    every member and every meet of two is the union of the rows of its
+    points, it suffices that o | row is a member for every member o and
+    row (o = 0 makes each row one): O(|opens|*n) lookups, not
+    O(|opens|**2).
 
     Every other constructor builds from rows that are already reflexive
     and transitive, which need only a range check, and hands them to
@@ -163,7 +166,7 @@ class FiniteSpace:
             raise ValueError("point_count must be >= 0")
         full = (1 << point_count) - 1
         if _rows is None:
-            open_set = frozenset(int(o) for o in opens)
+            open_set = frozenset(map(operator.index, opens))
             for o in open_set:
                 if o < 0 or o & ~full:
                     raise ValueError("open set %r out of range for %d points" % (o, point_count))
@@ -392,7 +395,7 @@ def from_subbasis(point_count: int, subbasis: Iterable[int]) -> FiniteSpace:
     full = (1 << point_count) - 1
     gens = set()
     for s in subbasis:
-        s = int(s)
+        s = operator.index(s)
         if s < 0 or s & ~full:
             raise ValueError("subbasis member %r out of range for %d points" % (s, point_count))
         gens.add(s)
@@ -408,7 +411,7 @@ def frink_conditions(space: FiniteSpace, base: Iterable[int]) -> FrinkReport:
     two base members cover the space, their complements sit inside two
     disjoint base members.
     """
-    members = sorted({int(b) for b in base})
+    members = sorted(set(map(operator.index, base)))
     full = space.full
     for b in members:
         if not space.is_open(b):
@@ -470,8 +473,9 @@ class SpaceMap:
     equality or hashing.
 
     ``SpaceMap(domain, codomain, assign)`` checks input from outside
-    (``jsonio``, tests, user code): it converts each entry with ``int``
-    and requires one image point in range per domain point.  Maps whose
+    (``jsonio``, tests, user code): it converts each entry with
+    ``operator.index``, so a float or a string raises ``TypeError``, and
+    requires one image point in range per domain point.  Maps whose
     assignment the library has built itself, already in range, come
     through ``_from_built`` instead, which skips the checks.
     """
@@ -479,7 +483,7 @@ class SpaceMap:
     __slots__ = ("domain", "codomain", "assign", "_skeletal")
 
     def __init__(self, domain: FiniteSpace, codomain: FiniteSpace, assign: Iterable[int]):
-        assign = tuple(int(a) for a in assign)
+        assign = tuple(map(operator.index, assign))
         if len(assign) != domain.point_count:
             raise ValueError("assignment must cover every domain point")
         if assign and codomain.point_count == 0:

@@ -22,6 +22,7 @@ assigned.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
@@ -310,7 +311,7 @@ def system_from_families(space: FiniteSpace, collection: Iterable[Iterable[int]]
     """Quotient space per family, bonds collapsing finer classes onto
     coarser ones.  Each entry of ``collection`` is a family given by its
     open masks of ``space``; the collection must be directed by inclusion."""
-    distinct = {frozenset(int(m) for m in entry) for entry in collection}
+    distinct = {frozenset(map(operator.index, entry)) for entry in collection}
     members = sorted(distinct, key=lambda f: (len(f), sorted(f)))
     quotients = tuple(build_quotient(space, f) for f in members)
     families = tuple(q.family for q in quotients)

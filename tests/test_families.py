@@ -22,6 +22,7 @@ from oracles import (
     all_surjections,
     base_by_unions_below,
     classes_by_signature,
+    continuous_by_preimages,
     every_family,
     kolmogorov_quotient,
     pi_bases_by_filter,
@@ -134,6 +135,32 @@ def test_quotient_lemma_exhaustive():
                 assert q.q_continuous
                 if fam.union_mask() == space.full:
                     assert q.image_is_base
+
+
+def test_q_continuous_against_preimage_oracle_exhaustive():
+    # true on every pair, since the grouping is sound; the class-count
+    # plant in tests/test_mutations.py shows that it can fail
+    pairs = 0
+    for space in all_spaces(3):
+        for members in every_family(space):
+            q = build_quotient(space, members)
+            assert (q.q_continuous, continuous_by_preimages(q.map)) == (True, True)
+            pairs += 1
+    assert pairs == 1070
+
+
+def test_build_quotient_computes_neither_verdict(monkeypatch):
+    def unread(*args):
+        raise AssertionError("verdict computed")
+
+    monkeypatch.setattr(SpaceMap, "is_continuous", unread)
+    monkeypatch.setattr(SpaceMap, "image_of", unread)
+    q = build_quotient(CHAIN3, [0b001, 0b011])
+    assert q.identity_holds and len(q.classes) == 3
+    with pytest.raises(AssertionError, match="verdict computed"):
+        q.q_continuous
+    with pytest.raises(AssertionError, match="verdict computed"):
+        q.image_is_base
 
 
 def test_image_is_base_against_oracle_exhaustive():
@@ -302,6 +329,23 @@ def test_family_from_map_examples():
     to_sierp = SpaceMap(D2, SIERP, [0, 1])
     fam = family_from_map(to_sierp, [0b10])
     assert fam.members == frozenset({0b10})
+
+
+# Each boundary converts masks by operator.index: a float or a str is
+# refused, not truncated, and a bool passes as the int it is.
+FAMILY_BOUNDARIES = {
+    "OpenFamily.of": lambda v: OpenFamily.of(D2, [v]),
+    "families_from_map": lambda v: next(families_from_map(SpaceMap.identity(D2), [[v, 0b10]])),
+}
+
+
+@pytest.mark.parametrize("site", FAMILY_BOUNDARIES)
+def test_family_boundaries_refuse_floats_and_strings(site):
+    build = FAMILY_BOUNDARIES[site]
+    for bad in (1.9, 1.0, "1"):
+        with pytest.raises(TypeError):
+            build(bad)
+    assert build(True) == build(1)
 
 
 def test_family_from_map_validation():

@@ -11,7 +11,12 @@ from topolab.families import build_quotient
 from topolab.game import GameSolution, count_ii_strategies, play
 from topolab.spaces import FiniteSpace
 
-from oracles import classes_by_signature, enumerate_ii_strategies, every_family
+from oracles import (
+    classes_by_signature,
+    continuous_by_preimages,
+    enumerate_ii_strategies,
+    every_family,
+)
 
 
 def always_completely_regular(monkeypatch):
@@ -185,6 +190,19 @@ def test_signature_oracle_sees_a_fault_in_meet_rows(monkeypatch):
         for space, members in pairs
     )
     assert (disagree, len(pairs)) == (296, 1070)
+
+
+def test_q_continuous_fails_under_the_class_count_plant(monkeypatch):
+    # the verdict is read off the built map, so a quotient given another
+    # space's rows is seen, and the preimage oracle agrees on every pair
+    quotient_spaces_keyed_by_class_count(monkeypatch)
+    failing = 0
+    for space in all_spaces(3):
+        for members in every_family(space):
+            q = build_quotient(space, members)
+            assert q.q_continuous == continuous_by_preimages(q.map)
+            failing += not q.q_continuous
+    assert failing == 364
 
 
 def test_transducer_violations_match_playing_every_opponent(monkeypatch):

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from topolab.families import OpenFamily, Quotient
+from topolab.families import OpenFamily, Quotient, build_quotient
 from topolab.game import GameSolution, PlayTrace, Transcript, VerifyResult, solve_open_open
 from topolab.spaces import FiniteSpace, FrinkReport, SeparationReport, SpaceMap
 from topolab.suites import SuiteReport
@@ -30,8 +30,7 @@ RECORD_FIELDS = {
     SeparationReport: ("t0", "t1", "hausdorff", "regular", "completely_regular"),
     FrinkReport: ("cond1", "cond1_witness", "cond2", "cond2_witness"),
     Quotient: (
-        "space", "family", "classes", "assign", "quotient_space", "map",
-        "identity_holds", "q_continuous", "image_is_base",
+        "space", "family", "classes", "assign", "quotient_space", "map", "identity_holds",
     ),
     Transcript: ("rounds", "covered", "outcome"),
     PlayTrace: ("rounds", "loop_start"),
@@ -72,6 +71,16 @@ def test_records_keep_their_fields_and_constructors(cls):
     for f in fields:
         with pytest.raises(AttributeError):
             setattr(rec, f, None)
+
+
+def test_quotient_verdicts_are_read_only_properties():
+    q = build_quotient(SIERP, [0b10])
+    for name in ("q_continuous", "image_is_base"):
+        assert name not in Quotient._fields
+        assert isinstance(getattr(Quotient, name), property)
+        with pytest.raises(AttributeError):
+            setattr(q, name, False)
+    assert (q.q_continuous, q.image_is_base) == (True, False)
 
 
 @pytest.mark.parametrize("cls", SLOTS_FIELDS, ids=lambda cls: cls.__name__)

@@ -62,6 +62,25 @@ def test_from_subbasis_range_error():
         from_subbasis(2, [0b100])
 
 
+# Each boundary converts masks and points by operator.index: a float or a
+# str is refused, not truncated, and a bool passes as the int it is.
+SPACE_BOUNDARIES = {
+    "FiniteSpace": lambda v: FiniteSpace(2, [0, v, 0b11]),
+    "from_subbasis": lambda v: from_subbasis(2, [v]),
+    "frink_conditions": lambda v: frink_conditions(D2, [v, 0b10, 0b11]),
+    "SpaceMap": lambda v: SpaceMap(D2, D2, [0, v]),
+}
+
+
+@pytest.mark.parametrize("site", SPACE_BOUNDARIES)
+def test_space_boundaries_refuse_floats_and_strings(site):
+    build = SPACE_BOUNDARIES[site]
+    for bad in (1.9, 1.0, "1"):
+        with pytest.raises(TypeError):
+            build(bad)
+    assert build(True) == build(1)
+
+
 def test_validation_rejects_wide_non_topologies_at_once():
     # The o | row check rejects this from 42 opens; rebuilding the opens
     # from the rows instead would expand to 2**40 sets.

@@ -421,6 +421,15 @@ def test_system_from_families_requires_directed():
         system_from_families(CHAIN3, [[0b001], [0b011]])  # no common superfamily
 
 
+def test_system_from_families_refuses_floats_and_strings():
+    # masks convert by operator.index, so 1.9 is not read as 0b001
+    for bad in (1.9, 1.0, "1"):
+        with pytest.raises(TypeError):
+            system_from_families(CHAIN3, [[bad]])
+    by_bool = system_from_families(CHAIN3, [[True]])
+    assert by_bool.families == system_from_families(CHAIN3, [[1]]).families
+
+
 def test_club_collection_gives_skeletal_bonds():
     for space in all_spaces(3, min_points=1):
         members = [build_tclub_member(OpenFamily.of(space, []))]
