@@ -50,23 +50,34 @@ class OpenFamily:
     """A set of open sets of one space.  The empty set may or may not be a
     member; game-facing operations ignore it, ring operations keep it.
 
-    ``OpenFamily(space, members)`` takes a frozenset of masks and checks
-    that each is open.  Equality and hashing compare the space and the
-    members; nothing changes them after construction.
+    ``OpenFamily(space, members)`` takes a frozenset of int masks (a
+    float equal to an open would pass the open test, so any other type
+    raises TypeError) and checks that each is open.  ``OpenFamily.of``
+    converts each member by ``operator.index`` instead, so it skips the
+    type test.  Equality and hashing compare the space and the members;
+    nothing changes them after construction.
     """
 
     __slots__ = ("space", "members")
 
     def __init__(self, space: FiniteSpace, members: frozenset[int]):
+        for m in members:
+            if not isinstance(m, int):
+                raise TypeError("family member %r is not an int" % (m,))
+        self._fill(space, members)
+
+    @classmethod
+    def of(cls, space: FiniteSpace, members: Iterable[int]) -> "OpenFamily":
+        fam = cls.__new__(cls)
+        fam._fill(space, frozenset(map(operator.index, members)))
+        return fam
+
+    def _fill(self, space: FiniteSpace, members: frozenset[int]) -> None:
         if not members <= space._open_set:
             bad = sorted(members - space._open_set)
             raise ValueError("family member %r is not open" % bad[0])
         self.space = space
         self.members = members
-
-    @classmethod
-    def of(cls, space: FiniteSpace, members: Iterable[int]) -> "OpenFamily":
-        return cls(space, frozenset(map(operator.index, members)))
 
     @property
     def sorted_members(self) -> tuple[int, ...]:

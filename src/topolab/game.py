@@ -5,8 +5,11 @@ subset of it, and I wins when the union of II's replies becomes dense.
 On a finite space the winning table has a closed form: from every
 covered set that is not dense (every covered set is a union of opens,
 hence open), Player I offers a minimal open it misses, which Player II
-must return whole.  An adversarial verifier checks any finite-state
-strategy against every possible opponent.
+must return whole.  The solved strategy computes that move only at the
+covered sets a play reaches, about c(X) of them, and the whole table is
+built from the same rule only when something reads it.  An adversarial
+verifier checks any finite-state strategy against every possible
+opponent.
 
 Strategies are deterministic finite-state transducers.  A strategy
 closure replays transducers over tuples of family members, so it
@@ -18,7 +21,7 @@ Player II transducer plays the same line against the solver as the echo.
 ``Transcript``, ``PlayTrace`` and ``VerifyResult`` are ``NamedTuple``
 records, so their fields cannot be assigned.  ``GameSolution`` is a
 ``__slots__`` class, immutable by convention, whose equality and hash
-leave out its table.
+leave out its table, kept in ``_table`` once given or built.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ VERIFY_NODE_LIMIT = 500_000
 # states than this.
 CLOSURE_STATE_LIMIT = 100_000
 
+# A solved table: covered set -> (status, move).
+_Table = dict[int, tuple[str, int | None]]
+
 
 class Strategy:
     """Deterministic transducer: step(state, observed) -> (move, state).
@@ -77,13 +83,32 @@ class Strategy:
         raise NotImplementedError
 
 class PositionalStrategy(Strategy):
-    """Player I strategy keyed on the covered set, from a solved table."""
+    """Player I strategy keyed on the covered set.
+
+    Given no table, it computes its move at each covered set that play
+    reaches, by the closed form of ``solve_open_open`` (``_solved_move``),
+    and ``table`` builds the whole table from that same rule on first
+    read, so play and table cannot disagree.  Given a table, it reads it.
+    Either way a covered set that is not open raises KeyError.
+    """
 
     kind = "positional"
 
-    def __init__(self, space: FiniteSpace, table: dict[int, tuple[str, int | None]]):
+    def __init__(self, space: FiniteSpace, table: _Table | None = None):
         self.space = space
-        self.table = table
+        self._table = table
+        if table is None:
+            self._open_set = space._open_set
+            self._core = space.dense_core()
+            self._minimal = space.minimal_open_family()
+
+    @property
+    def table(self) -> _Table:
+        """Covered set -> (status, move) at every open, built on first
+        read when the strategy was given none."""
+        if self._table is None:
+            self._table = _build_table(self)
+        return self._table
 
     def initial_state(self):
         return 0
@@ -93,13 +118,38 @@ class PositionalStrategy(Strategy):
         return self.move_at(covered), covered
 
     def move_at(self, covered: int) -> int:
-        """The table's move at ``covered``; where the table has none (a
-        dense position), the least nonempty open, or 0 on the space
-        without points."""
-        move = self.table[covered][1]
+        """The move at ``covered``; at a dense position, which needs none,
+        the least nonempty open, or 0 on the space without points."""
+        table = self._table
+        move = self._solved_move(covered) if table is None else table[covered][1]
         if move is None:
             return self.space.opens[1] if self.space.point_count else 0
         return move
+
+    def _solved_move(self, covered: int) -> int | None:
+        """The closed form: None once ``covered`` holds the dense core,
+        else the least minimal open it misses.  Should no minimal open
+        miss it (only a faulty minimal family allows that), the move is
+        the last one scanned, and the verifier reports the play."""
+        if covered not in self._open_set:
+            raise KeyError(covered)
+        core = self._core
+        if covered & core == core:
+            return None
+        for m in self._minimal:
+            if not m & covered:
+                break
+        return m
+
+
+def _build_table(strategy: PositionalStrategy) -> _Table:
+    """The whole table of a strategy without one, from its closed form:
+    "dense" with no move, or "win" with the move, at every open."""
+    table: _Table = {}
+    for s in strategy.space.opens:
+        move = strategy._solved_move(s)
+        table[s] = ("dense", None) if move is None else ("win", move)
+    return table
 
 
 class RoundRobinStrategy(Strategy):
@@ -177,25 +227,35 @@ class TableStrategy(Strategy):
 
 
 class GameSolution:
-    """Winner plus the full table: covered set -> (status, optimal move).
+    """Winner plus the table: covered set -> (status, optimal move).
 
     A status of "dense" needs no move; every other covered set is "win",
     paired with the least minimal open it misses.  Player I wins every
-    finite space, so ``winner`` is always "I".  Equality and hashing
+    finite space, so ``winner`` is always "I".  The solver passes no
+    table, so ``strategy`` computes each move where play reaches it and
+    ``table`` is built by the same rule on first read (by ``jsonio``, the
+    CLI's ``game solve`` and tests).  A table passed in, as by a reference
+    solver or a planted fault, is kept and played.  Equality and hashing
     compare the space and the winner, not the table, which the solver
     derives from the space; nothing changes the fields after construction.
     """
 
-    __slots__ = ("space", "winner", "table")
+    __slots__ = ("space", "winner", "_table")
 
-    def __init__(self, space: FiniteSpace, winner: str, table: dict[int, tuple[str, int | None]]):
+    def __init__(self, space: FiniteSpace, winner: str, table: _Table | None = None):
         self.space = space
         self.winner = winner
-        self.table = table
+        self._table = table
+
+    @property
+    def table(self) -> _Table:
+        if self._table is None:
+            self._table = PositionalStrategy(self.space).table
+        return self._table
 
     @property
     def strategy(self) -> PositionalStrategy:
-        return PositionalStrategy(self.space, self.table)
+        return PositionalStrategy(self.space, self._table)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -212,7 +272,7 @@ class GameSolution:
 
 
 def solve_open_open(space: FiniteSpace) -> GameSolution:
-    """The winning table in closed form.
+    """The open-open game in closed form, solved where play reaches.
 
     The minimal opens form a pi-base, and each lies inside every open set
     it meets.  Covered sets are open, so a covered set is dense when it
@@ -221,22 +281,13 @@ def solve_open_open(space: FiniteSpace) -> GameSolution:
     set strictly, so Player I wins from every covered set.  The least
     minimal open missing S is also the least nonempty open missing S,
     since each such open holds a minimal open no larger than itself.
+    The solution's strategy plays that rule at each covered set a play
+    reaches, and its table is built only when read.
     ``tests/oracles.py`` keeps the backward induction as the reference.
     """
     if space.point_count == 0:
         raise EmptySpace("the game needs at least one point")
-    core = space.dense_core()
-    minimal = space.minimal_open_family()
-    table: dict[int, tuple[str, int | None]] = {}
-    for s in space.opens:
-        if s & core == core:
-            table[s] = ("dense", None)
-            continue
-        for m in minimal:
-            if not m & s:
-                break
-        table[s] = ("win", m)
-    return GameSolution(space=space, winner="I", table=table)
+    return GameSolution(space, "I")
 
 
 def minimal_open_strategy(space: FiniteSpace) -> RoundRobinStrategy:
@@ -292,8 +343,10 @@ def verify_winning(space: FiniteSpace, strategy: Strategy) -> VerifyResult:
         return VerifyResult(True, None, 0)
     core = space.dense_core()
     replies = space.opens_inside
-    move0, st0 = strategy.step(strategy.initial_state(), None)
-    if not move0 or not space.is_open(move0):
+    step = strategy.step
+    open_set = space._open_set
+    move0, st0 = step(strategy.initial_state(), None)
+    if not move0 or move0 not in open_set:
         return VerifyResult(False, PlayTrace(rounds=(), loop_start=None), 0)
 
     root = (st0, move0, 0)
@@ -314,11 +367,11 @@ def verify_winning(space: FiniteSpace, strategy: Strategy) -> VerifyResult:
             cov2 = covered | b
             if cov2 & core == core:  # cov2 is open
                 continue
-            move2, st2 = strategy.step(st, b)
+            move2, st2 = step(st, b)
             child = (st2, move2, cov2)
             if child in done:  # only nodes with legal moves are ever pushed
                 continue
-            illegal = not move2 or not space.is_open(move2)
+            illegal = not move2 or move2 not in open_set
             if illegal or child in on_path:
                 rounds = tuple(frame[2] for frame in stack[1:]) + ((a, b),)
                 loop_start = None if illegal else on_path[child]

@@ -152,7 +152,10 @@ class FiniteSpace:
     equality and hashing ignore them: ``_minimal`` for
     ``minimal_open_family`` and ``_core``, the union of the minimal opens,
     for ``dense_core`` (one pass fills both), and ``_inside``, a dict
-    filled per set, for ``opens_inside``.
+    filled per set, for ``opens_inside``.  That pass also records (m,)
+    in ``_inside`` for each minimal open m, since it proves that m is the
+    only nonempty open inside m, so the verifier's replies to a minimal
+    open need no filter over the opens.
     """
 
     __slots__ = (
@@ -291,12 +294,17 @@ class FiniteSpace:
         contains one of them.  A row is minimal exactly when every point
         in it has that same row: each such point's row lies inside it,
         and a smaller row would hold a point whose row is smaller.  The
-        same pass keeps their union as the dense core.
+        same pass keeps their union as the dense core, and records each
+        as the only nonempty open inside it: any other would hold a point
+        whose row is smaller.
         """
         if self._minimal is None:
             rows = self.rows
             keep = []
             core = 0
+            if self._inside is None:
+                self._inside = {}
+            inside = self._inside
             for r in set(rows):
                 m = r
                 while m:
@@ -307,6 +315,7 @@ class FiniteSpace:
                 else:
                     keep.append(r)
                     core |= r
+                    inside[r] = (r,)
             keep.sort()
             self._minimal = tuple(keep)
             self._core = core

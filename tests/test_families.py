@@ -348,6 +348,16 @@ def test_family_boundaries_refuse_floats_and_strings(site):
     assert build(True) == build(1)
 
 
+def test_open_family_init_refuses_members_that_are_not_ints():
+    # a float equal to an open passes the open test, so the constructor
+    # refuses it by type before union_mask() could meet it
+    for bad in (1.0, 1.9, "1"):
+        with pytest.raises(TypeError, match="is not an int"):
+            OpenFamily(D2, frozenset({bad, 2}))
+    assert OpenFamily(D2, frozenset({True, 2})) == OpenFamily(D2, frozenset({1, 2}))
+    assert OpenFamily(D2, frozenset({True, 2})).union_mask() == 0b11
+
+
 def test_family_from_map_validation():
     with pytest.raises(NotAPiBase):
         family_from_map(SpaceMap.identity(D2), [0b01])  # misses opens inside {1}

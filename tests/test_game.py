@@ -3,12 +3,15 @@ import random
 
 import pytest
 
+from topolab import game
 from topolab.enumeration import all_spaces, all_topologies
 from topolab.errors import EmptySpace, IllegalMove, NotClopen
 from topolab.families import OpenFamily, build_quotient, seq_family
 from topolab.game import (
     EchoStrategy,
+    GameSolution,
     MinimalReplyStrategy,
+    PositionalStrategy,
     RoundRobinStrategy,
     build_tclub_member,
     check_condition_S,
@@ -88,6 +91,64 @@ def test_solver_matches_full_scan_on_sampled_five_point_spaces():
     spaces = list(all_topologies(5))
     for space in random.Random(6).sample(spaces, 300):
         _assert_solver_matches_full_scan(space)
+
+
+def _assert_moves_match_the_table(space):
+    sol = solve_open_open(space)
+    strategy = sol.strategy  # taken before the table exists
+    table = sol.table
+    from_table = PositionalStrategy(space, table)
+    assert set(table) == set(space.opens)
+    for s in space.opens:
+        status, move = table[s]
+        expected = space.opens[1] if status == "dense" else move
+        assert strategy.move_at(s) == expected
+        assert from_table.move_at(s) == expected
+
+
+def test_closed_form_moves_match_the_table_on_small_spaces():
+    for space in all_spaces(4, min_points=1):
+        _assert_moves_match_the_table(space)
+
+
+def test_closed_form_moves_match_the_table_on_every_five_point_space():
+    count = 0
+    for space in all_topologies(5):
+        _assert_moves_match_the_table(space)
+        count += 1
+    assert count == 6942
+
+
+def test_move_at_a_covered_set_that_is_not_open_raises_key_error():
+    sol = solve_open_open(SIERP)  # 0b01 = {0} is not open
+    closed_form = sol.strategy
+    for strategy in (closed_form, PositionalStrategy(SIERP, sol.table), sol.strategy):
+        with pytest.raises(KeyError):
+            strategy.move_at(0b01)
+        with pytest.raises(KeyError):
+            strategy.step(0, 0b01)
+    with pytest.raises(KeyError):
+        sol.table[0b01]
+
+
+def test_solving_and_verifying_build_no_table(monkeypatch):
+    def unread(*args):
+        raise AssertionError("table built")
+
+    monkeypatch.setattr(game, "_build_table", unread)
+    for space in all_spaces(3, min_points=1) + [WEDGE]:
+        sol = solve_open_open(space)
+        assert verify_winning(space, sol.strategy).winning
+        assert verify_winning(space, minimal_open_strategy(space)).winning
+        assert play(space, sol.strategy, EchoStrategy()).outcome == "I-wins"
+        with pytest.raises(AssertionError, match="table built"):
+            sol.table
+        with pytest.raises(AssertionError, match="table built"):
+            sol.strategy.table
+    # a table passed in is read, never rebuilt
+    planted = GameSolution(SIERP, "I", {0: ("win", 0b11), 0b10: ("win", 0b11), 0b11: ("dense", None)})
+    assert planted.table[0] == ("win", 0b11)
+    assert planted.strategy.move_at(0) == 0b11
 
 
 def test_minimal_strategy_examples():

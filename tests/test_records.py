@@ -50,7 +50,7 @@ RECORD_FIELDS = {
 }
 SLOTS_FIELDS = {
     OpenFamily: ("space", "members"),
-    GameSolution: ("space", "winner", "table"),
+    GameSolution: ("space", "winner", "_table"),
     InverseSystem: ("poset", "spaces", "bonds", "check"),
     SuiteReport: ("name", "seed", "max_points", "samples", "cases_run", "counts", "violations"),
 }

@@ -211,6 +211,27 @@ def test_opens_inside_against_filter():
             assert space.opens_inside(a) is space.opens_inside(a)
 
 
+@pytest.mark.parametrize("first", ["opens_inside", "minimal_open_family"])
+def test_opens_inside_a_minimal_open_is_itself_in_either_call_order(first):
+    # minimal_open_family's pass records (m,) for each minimal open m; that
+    # entry and every filtered one agree whichever query comes first
+    for space in all_spaces(4):
+        fresh = FiniteSpace(space.point_count, space.opens)
+        masks = range(fresh.full + 1)
+        if first == "opens_inside":
+            got = [fresh.opens_inside(a) for a in masks]
+            minimal = fresh.minimal_open_family()
+        else:
+            minimal = fresh.minimal_open_family()
+            got = [fresh.opens_inside(a) for a in masks]
+        for m in minimal:
+            assert fresh.opens_inside(m) == (m,)
+        for a in masks:
+            expected = tuple(o for o in fresh.opens if o and o & ~a == 0)
+            assert got[a] == expected
+            assert fresh.opens_inside(a) == expected
+
+
 @pytest.mark.parametrize("query", ["closure", "is_dense", "interior"])
 def test_queries_reject_masks_out_of_range(query):
     for space in (FiniteSpace(0, [0]), SIERP, FiniteSpace.chain(3)):
