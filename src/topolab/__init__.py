@@ -25,7 +25,6 @@ from .families import (
     OpenFamily,
     Quotient,
     build_quotient,
-    classes_of,
     families_from_map,
     family_from_map,
     is_skeletal_family,

@@ -6,22 +6,21 @@ the classes.  ``build_quotient`` groups the points by their ``meet_rows``
 entry, tests the preimage identity member by member, and takes each
 class's quotient row as the image of its meet row, which is the meet of the
 member images holding the class; the quotient's continuity and base
-verdicts are computed when they are read.  ``classes_of`` gives the
-same partition for callers; it reads the same ``meet_rows``, so it is no
-independent check of ``build_quotient`` (``tests/oracles.py`` groups the
-points by their membership signatures instead).  Alongside live the
-sequence-closure operator (the finite shadow of cozero behaviour), ring
-closure (the ``union_closure`` of the members' meets), and condition (S),
-decided off the dense core: a family is skeletal exactly when its
-inclusion-minimal nonempty members cover ``space.dense_core()``.
+verdicts are computed when they are read.  ``tests/oracles.py`` groups
+the points by their membership signatures instead, as an independent check
+of the classes.  Alongside live the sequence-closure operator (the finite
+shadow of cozero behaviour), ring closure (the ``union_closure`` of the
+members' meets), and condition (S), decided off the dense core: a family
+is skeletal exactly when its inclusion-minimal nonempty members cover
+``space.dense_core()``.
 
-A family carries its space, and ``OpenFamily`` checks its members once,
-when it is built; every function here reads ``family.space``.  Only
-``build_quotient`` (and ``systems.system_from_families``) take a space and
-raw masks, and each builds the family exactly once.  ``OpenFamily`` is a
-``__slots__`` class, immutable by convention; ``Quotient`` is a
-``NamedTuple`` record, so its fields cannot be assigned, nor can its two
-read-only verdict properties.
+A family carries its space, and ``OpenFamily(space, members)``, the one
+way to build one, converts and checks its members once; every function
+here reads ``family.space``.  Only ``build_quotient`` (and
+``systems.system_from_families``) take a space and raw masks, and each
+builds the family exactly once.  ``OpenFamily`` is a ``__slots__`` class,
+immutable by convention; ``Quotient`` is a ``NamedTuple`` record, so its
+fields cannot be assigned, nor can its two read-only verdict properties.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .spaces import FiniteSpace, SpaceMap, meet_rows, union_closure
 __all__ = [
     "OpenFamily",
     "Quotient",
-    "classes_of",
     "build_quotient",
     "seq_family",
     "seq_family_bruteforce",
@@ -50,29 +48,17 @@ class OpenFamily:
     """A set of open sets of one space.  The empty set may or may not be a
     member; game-facing operations ignore it, ring operations keep it.
 
-    ``OpenFamily(space, members)`` takes a frozenset of int masks (a
-    float equal to an open would pass the open test, so any other type
-    raises TypeError) and checks that each is open.  ``OpenFamily.of``
-    converts each member by ``operator.index`` instead, so it skips the
-    type test.  Equality and hashing compare the space and the members;
-    nothing changes them after construction.
+    ``OpenFamily(space, members)`` converts each member by
+    ``operator.index`` and checks that it is open.  A float or a str raises
+    TypeError, since a float equal to an open would pass the open test; a
+    bool passes as its int.  Equality and hashing compare the space and the
+    members; nothing changes them after construction.
     """
 
     __slots__ = ("space", "members")
 
-    def __init__(self, space: FiniteSpace, members: frozenset[int]):
-        for m in members:
-            if not isinstance(m, int):
-                raise TypeError("family member %r is not an int" % (m,))
-        self._fill(space, members)
-
-    @classmethod
-    def of(cls, space: FiniteSpace, members: Iterable[int]) -> "OpenFamily":
-        fam = cls.__new__(cls)
-        fam._fill(space, frozenset(map(operator.index, members)))
-        return fam
-
-    def _fill(self, space: FiniteSpace, members: frozenset[int]) -> None:
+    def __init__(self, space: FiniteSpace, members: Iterable[int]):
+        members = frozenset(map(operator.index, members))
         if not members <= space._open_set:
             bad = sorted(members - space._open_set)
             raise ValueError("family member %r is not open" % bad[0])
@@ -120,22 +106,6 @@ class OpenFamily:
 
     def __repr__(self) -> str:
         return f"OpenFamily({self.space!r}, {list(self.sorted_members)})"
-
-
-def classes_of(family: OpenFamily) -> tuple[int, ...]:
-    """Partition of the points by equal membership across the family.
-
-    Groups the points by their ``meet_rows`` entry, the meet of the
-    members holding them: two points lie in the same members exactly when
-    their meets agree, since each point lies in its own meet.  Classes
-    come out as bitmasks in order of their lowest point, the order in
-    which the points are scanned.  ``build_quotient`` groups the points
-    in its own loop, which also keeps each class's meet row.
-    """
-    classes: dict[int, int] = {}
-    for x, row in enumerate(meet_rows(family.space.point_count, family.members)):
-        classes[row] = classes.get(row, 0) | 1 << x
-    return tuple(classes.values())
 
 
 class Quotient(NamedTuple):
@@ -216,7 +186,7 @@ def build_quotient(space: FiniteSpace, members: Iterable[int]) -> Quotient:
     classes, the map and ``identity_holds`` are computed on every call;
     ``q_continuous`` and ``image_is_base`` only when a caller reads them.
     """
-    fam = OpenFamily.of(space, members)
+    fam = OpenFamily(space, members)
     meets: dict[int, int] = {}
     classes = []
     assign = []
@@ -265,7 +235,7 @@ def seq_family(family: OpenFamily) -> OpenFamily:
     """
     members = family.members
     full = family.space.full
-    return OpenFamily.of(family.space, (w for w in members if (full ^ w) in members))
+    return OpenFamily(family.space, (w for w in members if (full ^ w) in members))
 
 
 def seq_family_bruteforce(family: OpenFamily) -> OpenFamily:
@@ -283,7 +253,7 @@ def seq_family_bruteforce(family: OpenFamily) -> OpenFamily:
     """
     members = family.sorted_members
     full = family.space.full
-    return OpenFamily.of(
+    return OpenFamily(
         family.space,
         (w for w in members if any(not w & v and (full ^ v) & ~w == 0 for v in members)),
     )
@@ -298,7 +268,7 @@ def ring_closure(family: OpenFamily) -> OpenFamily:
     """
     full = family.space.full
     meets = {full ^ u for u in union_closure({full ^ m for m in family.members})}
-    return OpenFamily.of(family.space, union_closure(meets))
+    return OpenFamily(family.space, union_closure(meets))
 
 
 def is_skeletal_family(family: OpenFamily) -> tuple[bool, int | None]:
@@ -356,7 +326,7 @@ def families_from_map(
                 raise NotAPiBase("open %r contains no pi-base member" % m)
         for v in members - preimages.keys():
             preimages[v] = space_map.preimage_of(v)
-        yield OpenFamily.of(space_map.domain, (preimages[v] for v in members))
+        yield OpenFamily(space_map.domain, (preimages[v] for v in members))
 
 
 def family_from_map(space_map: SpaceMap, pibase: Iterable[int]) -> OpenFamily:

@@ -5,9 +5,10 @@ subset of it, and I wins when the union of II's replies becomes dense.
 On a finite space the winning table has a closed form: from every
 covered set that is not dense (every covered set is a union of opens,
 hence open), Player I offers a minimal open it misses, which Player II
-must return whole.  The solved strategy computes that move only at the
-covered sets a play reaches, about c(X) of them, and the whole table is
-built from the same rule only when something reads it.  An adversarial
+must return whole.  That rule is the only way the library plays or
+tabulates a solved game: the solved strategy computes each move at the
+covered sets a play reaches, about c(X) of them, and its table lists
+the same rule at every open each time it is read.  An adversarial
 verifier checks any finite-state strategy against every possible
 opponent.
 
@@ -18,10 +19,8 @@ seed is the clopen algebra, built outright.  The solver offers only
 minimal opens, and Player II must return a minimal open whole, so every
 Player II transducer plays the same line against the solver as the echo.
 
-``Transcript``, ``PlayTrace`` and ``VerifyResult`` are ``NamedTuple``
-records, so their fields cannot be assigned.  ``GameSolution`` is a
-``__slots__`` class, immutable by convention, whose equality and hash
-leave out its table, kept in ``_table`` once given or built.
+``GameSolution``, ``Transcript``, ``PlayTrace`` and ``VerifyResult`` are
+``NamedTuple`` records, so their fields cannot be assigned.
 """
 
 from __future__ import annotations
@@ -60,9 +59,6 @@ VERIFY_NODE_LIMIT = 500_000
 # states than this.
 CLOSURE_STATE_LIMIT = 100_000
 
-# A solved table: covered set -> (status, move).
-_Table = dict[int, tuple[str, int | None]]
-
 
 class Strategy:
     """Deterministic transducer: step(state, observed) -> (move, state).
@@ -82,33 +78,33 @@ class Strategy:
     def step(self, state, observed):
         raise NotImplementedError
 
-class PositionalStrategy(Strategy):
-    """Player I strategy keyed on the covered set.
 
-    Given no table, it computes its move at each covered set that play
-    reaches, by the closed form of ``solve_open_open`` (``_solved_move``),
-    and ``table`` builds the whole table from that same rule on first
-    read, so play and table cannot disagree.  Given a table, it reads it.
-    Either way a covered set that is not open raises KeyError.
+class PositionalStrategy(Strategy):
+    """Player I strategy keyed on the covered set: the closed form of
+    ``solve_open_open``.
+
+    ``move_at`` computes the move at each covered set that play reaches
+    (``_solved_move``), and ``table`` lists the same rule at every open on
+    each read, so play and table cannot disagree.  A covered set that is
+    not open raises KeyError.
     """
 
     kind = "positional"
 
-    def __init__(self, space: FiniteSpace, table: _Table | None = None):
+    def __init__(self, space: FiniteSpace):
         self.space = space
-        self._table = table
-        if table is None:
-            self._open_set = space._open_set
-            self._core = space.dense_core()
-            self._minimal = space.minimal_open_family()
+        self._open_set = space._open_set
+        self._core = space.dense_core()
+        self._minimal = space.minimal_open_family()
 
     @property
-    def table(self) -> _Table:
-        """Covered set -> (status, move) at every open, built on first
-        read when the strategy was given none."""
-        if self._table is None:
-            self._table = _build_table(self)
-        return self._table
+    def table(self) -> dict[int, tuple[str, int | None]]:
+        """Covered set -> ("dense", None) or ("win", move), at every open."""
+        table = {}
+        for s in self.space.opens:
+            move = self._solved_move(s)
+            table[s] = ("dense", None) if move is None else ("win", move)
+        return table
 
     def initial_state(self):
         return 0
@@ -120,8 +116,7 @@ class PositionalStrategy(Strategy):
     def move_at(self, covered: int) -> int:
         """The move at ``covered``; at a dense position, which needs none,
         the least nonempty open, or 0 on the space without points."""
-        table = self._table
-        move = self._solved_move(covered) if table is None else table[covered][1]
+        move = self._solved_move(covered)
         if move is None:
             return self.space.opens[1] if self.space.point_count else 0
         return move
@@ -140,16 +135,6 @@ class PositionalStrategy(Strategy):
             if not m & covered:
                 break
         return m
-
-
-def _build_table(strategy: PositionalStrategy) -> _Table:
-    """The whole table of a strategy without one, from its closed form:
-    "dense" with no move, or "win" with the move, at every open."""
-    table: _Table = {}
-    for s in strategy.space.opens:
-        move = strategy._solved_move(s)
-        table[s] = ("dense", None) if move is None else ("win", move)
-    return table
 
 
 class RoundRobinStrategy(Strategy):
@@ -226,49 +211,28 @@ class TableStrategy(Strategy):
 # -- solving -----------------------------------------------------------
 
 
-class GameSolution:
-    """Winner plus the table: covered set -> (status, optimal move).
+class GameSolution(NamedTuple):
+    """The winner of the open-open game on ``space``.
 
-    A status of "dense" needs no move; every other covered set is "win",
-    paired with the least minimal open it misses.  Player I wins every
-    finite space, so ``winner`` is always "I".  The solver passes no
-    table, so ``strategy`` computes each move where play reaches it and
-    ``table`` is built by the same rule on first read (by ``jsonio``, the
-    CLI's ``game solve`` and tests).  A table passed in, as by a reference
-    solver or a planted fault, is kept and played.  Equality and hashing
-    compare the space and the winner, not the table, which the solver
-    derives from the space; nothing changes the fields after construction.
+    Player I wins every finite space, so ``winner`` is always "I".  Two
+    read-only properties carry the closed form: ``strategy``, a
+    ``PositionalStrategy`` that computes each move where play reaches it,
+    and ``table``, covered set -> (status, move) at every open, listed by
+    that strategy on each read (by ``jsonio``, the CLI's ``game solve``
+    and tests).  A status of "dense" needs no move; every other covered
+    set is "win", paired with the least minimal open it misses.
     """
 
-    __slots__ = ("space", "winner", "_table")
-
-    def __init__(self, space: FiniteSpace, winner: str, table: _Table | None = None):
-        self.space = space
-        self.winner = winner
-        self._table = table
-
-    @property
-    def table(self) -> _Table:
-        if self._table is None:
-            self._table = PositionalStrategy(self.space).table
-        return self._table
+    space: FiniteSpace
+    winner: str
 
     @property
     def strategy(self) -> PositionalStrategy:
-        return PositionalStrategy(self.space, self._table)
+        return PositionalStrategy(self.space)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, GameSolution)
-            and self.space == other.space
-            and self.winner == other.winner
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space, self.winner))
-
-    def __repr__(self) -> str:
-        return f"GameSolution({self.space!r}, {self.winner!r})"
+    @property
+    def table(self) -> dict[int, tuple[str, int | None]]:
+        return self.strategy.table
 
 
 def solve_open_open(space: FiniteSpace) -> GameSolution:
@@ -282,7 +246,7 @@ def solve_open_open(space: FiniteSpace) -> GameSolution:
     minimal open missing S is also the least nonempty open missing S,
     since each such open holds a minimal open no larger than itself.
     The solution's strategy plays that rule at each covered set a play
-    reaches, and its table is built only when read.
+    reaches, and its table lists the rule at every open when read.
     ``tests/oracles.py`` keeps the backward induction as the reference.
     """
     if space.point_count == 0:
@@ -484,7 +448,7 @@ def closure_under_strategies(seed: OpenFamily, strategies: Iterable[Strategy]) -
             new |= _reachable_emissions(space, strat, feed)
         new -= family
         if not new:
-            return OpenFamily.of(space, family)
+            return OpenFamily(space, family)
         family |= new
 
 
@@ -508,7 +472,7 @@ def build_tclub_member(seed: OpenFamily) -> OpenFamily:
     for m in seed.sorted_members:
         if m not in clopen:
             raise NotClopen("seed member %r is not clopen" % m)
-    return OpenFamily.of(space, clopen)
+    return OpenFamily(space, clopen)
 
 
 def check_condition_S(family: OpenFamily) -> tuple[bool, int | None]:

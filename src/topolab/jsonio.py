@@ -127,7 +127,7 @@ def decode_family(obj: dict) -> OpenFamily:
     space = decode_space(obj.get("space"))
     if not all(_is_points(m, space.point_count) for m in obj["members"]):
         raise ValueError("each member must be a list of points in range(%d)" % space.point_count)
-    return OpenFamily.of(space, (mask_of(m) for m in obj["members"]))
+    return OpenFamily(space, (mask_of(m) for m in obj["members"]))
 
 
 def encode_quotient(q: Quotient) -> dict:

@@ -51,13 +51,13 @@ def random_family(rng: random.Random, space: FiniteSpace, size: int | None = Non
     if size is None:
         size = rng.randint(0, len(pool))
     size = min(size, len(pool))
-    return OpenFamily.of(space, rng.sample(pool, size))
+    return OpenFamily(space, rng.sample(pool, size))
 
 
 def random_clopen_seed(rng: random.Random, space: FiniteSpace) -> OpenFamily:
     pool = list(space.clopens())
     size = rng.randint(0, len(pool))
-    return OpenFamily.of(space, rng.sample(pool, size))
+    return OpenFamily(space, rng.sample(pool, size))
 
 
 def _random_merge(rng: random.Random, space: FiniteSpace) -> SpaceMap:

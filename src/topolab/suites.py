@@ -582,7 +582,7 @@ def systems_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> Sui
     vacuous = 0
     for space in all_spaces(max_points, min_points=1):
         seeds = [()] + [(c,) for c in space.clopens() if c]
-        members = [build_tclub_member(OpenFamily.of(space, s)) for s in seeds]
+        members = [build_tclub_member(OpenFamily(space, s)) for s in seeds]
         famsys = system_from_families(space, members)
         for q in famsys.quotients:
             rep.check(

@@ -180,7 +180,7 @@ def ring_closure_by_fixpoint(family: OpenFamily) -> OpenFamily:
         new |= {a & b for a in current for b in current}
         new -= current
         if not new:
-            return OpenFamily.of(family.space, current)
+            return OpenFamily(family.space, current)
         current |= new
 
 
@@ -431,11 +431,11 @@ def quotient_opens_by_subsets(space: FiniteSpace, assign, m: int) -> set[int]:
     return opens
 
 
-def solve_by_full_scan(space: FiniteSpace) -> GameSolution:
+def solve_by_full_scan(space: FiniteSpace) -> tuple[str, dict[int, tuple[str, int | None]]]:
     """The open-open game by the backward induction ``solve_open_open``
-    first shipped with: covered sets ordered by a (-size, mask) key, moves
-    filtered from the opens and density read from closure_by_closed_scan,
-    so it shares no density test with the library."""
+    first shipped with, as (winner, table): covered sets ordered by a
+    (-size, mask) key, moves filtered from the opens and density read from
+    closure_by_closed_scan, so it shares no density test with the library."""
     if space.point_count == 0:
         raise EmptySpace("the game needs at least one point")
     moves = tuple(o for o in space.opens if o)
@@ -459,7 +459,7 @@ def solve_by_full_scan(space: FiniteSpace) -> GameSolution:
                 break
         table[s] = ("win", chosen) if chosen is not None else ("lose", None)
     winner = "I" if table[0][0] in ("dense", "win") else "II"
-    return GameSolution(space=space, winner=winner, table=table)
+    return winner, table
 
 
 class LeastReplyStrategy(Strategy):
@@ -907,5 +907,5 @@ def club_by_strategy_closure(seed: OpenFamily) -> OpenFamily:
     while True:
         ringed = ring_closure(closure_under_strategies(current, strategies))
         if ringed.members | {0} == current.members | {0}:
-            return OpenFamily.of(space, ringed.members | {0})
+            return OpenFamily(space, ringed.members | {0})
         current = ringed

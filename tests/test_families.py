@@ -7,7 +7,6 @@ from topolab.errors import NotAPiBase, NotContinuous
 from topolab.families import (
     OpenFamily,
     build_quotient,
-    classes_of,
     families_from_map,
     family_from_map,
     is_skeletal_family,
@@ -40,15 +39,15 @@ D3 = FiniteSpace.discrete(3)
 
 
 def test_classes_examples():
-    assert classes_of(OpenFamily.of(CHAIN3, [0b001])) == (0b001, 0b110)
-    assert classes_of(OpenFamily.of(CHAIN3, [])) == (0b111,)
-    assert classes_of(OpenFamily.of(CHAIN3, [0b001, 0b011])) == (0b001, 0b010, 0b100)
+    assert build_quotient(CHAIN3, [0b001]).classes == (0b001, 0b110)
+    assert build_quotient(CHAIN3, []).classes == (0b111,)
+    assert build_quotient(CHAIN3, [0b001, 0b011]).classes == (0b001, 0b010, 0b100)
 
 
 def test_classes_match_signatures_exhaustive():
     for space in all_spaces(3):
         for members in every_family(space):
-            assert classes_of(OpenFamily.of(space, members)) == classes_by_signature(space, members)
+            assert build_quotient(space, members).classes == classes_by_signature(space, members)
 
 
 def test_classes_match_signatures_random():
@@ -56,14 +55,15 @@ def test_classes_match_signatures_random():
     for _ in range(2000):
         space = random_space(rng, rng.choice([4, 5]))
         fam = random_family(rng, space)
-        assert classes_of(fam) == classes_by_signature(space, fam.members), fam
+        assert build_quotient(space, fam.members).classes == classes_by_signature(
+            space, fam.members
+        ), fam
 
 
 def test_quotient_classes_against_independent_groupings():
-    # build_quotient groups the points by their meet_rows entry.  The
-    # membership signatures group them independently; classes_of reads the
-    # same meet_rows, so it only pins that the two loops agree (a fault in
-    # meet_rows escapes it: see test_signature_oracle_sees_a_fault_in_meet_rows).
+    # build_quotient groups the points by their meet_rows entry; the
+    # membership signatures group them independently, so a fault in
+    # meet_rows shows (see test_signature_oracle_sees_a_fault_in_meet_rows).
     pairs = [(space, members) for space in all_spaces(3) for members in every_family(space)]
     rng = rng_for(8, "quotient-classes")
     spaces4 = all_spaces(4, min_points=4)
@@ -71,7 +71,6 @@ def test_quotient_classes_against_independent_groupings():
     for space, members in pairs + sample:
         q = build_quotient(space, members)
         assert q.classes == classes_by_signature(space, members), (space, members)
-        assert q.classes == classes_of(q.family)
         for x in range(space.point_count):
             assert (q.classes[q.assign[x]] >> x) & 1
     for space, members in sample:
@@ -100,13 +99,13 @@ def test_identity_check_catches_merged_classes(monkeypatch):
 
 def test_family_must_be_open():
     with pytest.raises(ValueError):
-        OpenFamily.of(SIERP, [0b01])
+        OpenFamily(SIERP, [0b01])
 
 
 def test_family_error_names_the_least_member_not_open():
     # 0b010, 0b100 and 0b110 are not open in the chain; 0b001 is
     with pytest.raises(ValueError, match=r"family member 2 is not open"):
-        OpenFamily.of(CHAIN3, [0b110, 0b001, 0b100, 0b010])
+        OpenFamily(CHAIN3, [0b110, 0b001, 0b100, 0b010])
 
 
 def test_quotient_examples():
@@ -129,7 +128,7 @@ def test_quotient_identity_exhaustive():
 def test_quotient_lemma_exhaustive():
     for space in all_spaces(3):
         for members in every_family(space):
-            fam = OpenFamily.of(space, members)
+            fam = OpenFamily(space, members)
             q = build_quotient(space, fam)
             if fam.is_intersection_closed():
                 assert q.q_continuous
@@ -218,15 +217,15 @@ def test_quotient_by_all_opens_is_t0_reflection():
 
 
 def test_seq_examples():
-    assert seq_family(OpenFamily.of(D2, D2.opens)).members == frozenset(D2.opens)
-    assert seq_family(OpenFamily.of(SIERP, [0, 0b10, 0b11])).members == frozenset({0, 0b11})
-    assert seq_family(OpenFamily.of(SIERP, [])).members == frozenset()
+    assert seq_family(OpenFamily(D2, D2.opens)).members == frozenset(D2.opens)
+    assert seq_family(OpenFamily(SIERP, [0, 0b10, 0b11])).members == frozenset({0, 0b11})
+    assert seq_family(OpenFamily(SIERP, [])).members == frozenset()
 
 
 def test_seq_nonempty_forces_cover():
     for space in all_spaces(3):
         for members in every_family(space):
-            if seq_family(OpenFamily.of(space, members)).members:
+            if seq_family(OpenFamily(space, members)).members:
                 u = 0
                 for m in members:
                     u |= m
@@ -237,8 +236,8 @@ def test_seq_closed_form_equals_bruteforce_exhaustive():
     for space in all_spaces(3):
         for members in every_family(space):
             assert (
-                seq_family(OpenFamily.of(space, members)).members
-                == seq_family_bruteforce(OpenFamily.of(space, members)).members
+                seq_family(OpenFamily(space, members)).members
+                == seq_family_bruteforce(OpenFamily(space, members)).members
             )
 
 
@@ -252,12 +251,12 @@ def test_seq_closed_form_equals_bruteforce_random(seed):
 
 
 def test_ring_closure_examples():
-    assert ring_closure(OpenFamily.of(D3, [0b001, 0b010])).members == frozenset(
+    assert ring_closure(OpenFamily(D3, [0b001, 0b010])).members == frozenset(
         {0, 0b001, 0b010, 0b011}
     )
-    ring = OpenFamily.of(D2, D2.opens)
+    ring = OpenFamily(D2, D2.opens)
     assert ring_closure(ring).members == ring.members
-    assert ring_closure(OpenFamily.of(D3, [0b011, 0b110])).members == frozenset(
+    assert ring_closure(OpenFamily(D3, [0b011, 0b110])).members == frozenset(
         {0b010, 0b011, 0b110, 0b111}
     )
 
@@ -266,7 +265,7 @@ def test_ring_closure_against_fixpoint_exhaustive():
     checked = 0
     for space in all_spaces(3):
         for members in every_family(space):
-            fam = OpenFamily.of(space, members)
+            fam = OpenFamily(space, members)
             assert ring_closure(fam).members == ring_closure_by_fixpoint(fam).members
             checked += 1
     assert checked == 1070
@@ -275,7 +274,7 @@ def test_ring_closure_against_fixpoint_exhaustive():
 def test_ring_unions_stay_in_seq():
     for space in all_spaces(3):
         for members in every_family(space):
-            fam = OpenFamily.of(space, members)
+            fam = OpenFamily(space, members)
             if not fam.is_ring():
                 continue
             seq = seq_family(fam).members
@@ -293,7 +292,7 @@ def test_ring_unions_stay_in_seq():
 def test_seq_quotient_separation_lemmas():
     for space in all_spaces(3):
         for members in every_family(space):
-            fam = OpenFamily.of(space, members)
+            fam = OpenFamily(space, members)
             seq = seq_family(fam).members
             if not fam.members <= seq:
                 continue
@@ -308,11 +307,11 @@ def test_seq_quotient_separation_lemmas():
 
 
 def test_skeletal_family_examples():
-    ok, _ = is_skeletal_family(OpenFamily.of(SIERP, SIERP.nonempty_opens()))
+    ok, _ = is_skeletal_family(OpenFamily(SIERP, SIERP.nonempty_opens()))
     assert ok
-    ok, witness = is_skeletal_family(OpenFamily.of(D2, [0b10]))
+    ok, witness = is_skeletal_family(OpenFamily(D2, [0b10]))
     assert not ok and witness == 0b01
-    ok, _ = is_skeletal_family(OpenFamily.of(D2, [0b01, 0b10]))
+    ok, _ = is_skeletal_family(OpenFamily(D2, [0b01, 0b10]))
     assert ok
 
 
@@ -334,7 +333,7 @@ def test_family_from_map_examples():
 # Each boundary converts masks by operator.index: a float or a str is
 # refused, not truncated, and a bool passes as the int it is.
 FAMILY_BOUNDARIES = {
-    "OpenFamily.of": lambda v: OpenFamily.of(D2, [v]),
+    "OpenFamily": lambda v: OpenFamily(D2, [v]),
     "families_from_map": lambda v: next(families_from_map(SpaceMap.identity(D2), [[v, 0b10]])),
 }
 
@@ -350,9 +349,9 @@ def test_family_boundaries_refuse_floats_and_strings(site):
 
 def test_open_family_init_refuses_members_that_are_not_ints():
     # a float equal to an open passes the open test, so the constructor
-    # refuses it by type before union_mask() could meet it
+    # refuses it by operator.index before union_mask() could meet it
     for bad in (1.0, 1.9, "1"):
-        with pytest.raises(TypeError, match="is not an int"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             OpenFamily(D2, frozenset({bad, 2}))
     assert OpenFamily(D2, frozenset({True, 2})) == OpenFamily(D2, frozenset({1, 2}))
     assert OpenFamily(D2, frozenset({True, 2})).union_mask() == 0b11
@@ -433,16 +432,22 @@ def test_families_from_map_raise_at_the_first_invalid_pi_base():
 
 
 def test_skeletal_maps_pull_dense_opens_to_dense():
+    # a continuous surjection is skeletal exactly when the preimage of
+    # every dense open is dense
+    maps = skeletal = 0
     for dom in all_spaces(3, min_points=1):
         for cod in all_spaces(3, min_points=1):
             if cod.point_count > dom.point_count:
                 continue
+            dense = [v for v in cod.opens if cod.is_dense(v)]
             for m in all_surjections(dom, cod):
-                if not m.is_continuous() or not m.is_skeletal():
+                if not m.is_continuous():
                     continue
-                for v in cod.opens:
-                    if cod.is_dense(v):
-                        assert dom.is_dense(m.preimage_of(v))
+                pulls_dense = all(dom.is_dense(m.preimage_of(v)) for v in dense)
+                assert m.is_skeletal() == pulls_dense, m
+                maps += 1
+                skeletal += pulls_dense
+    assert (maps, skeletal) == (1546, 966)
 
 
 def test_skeletal_family_against_opens_scan_exhaustive():
@@ -459,7 +464,7 @@ def test_skeletal_family_against_opens_scan_exhaustive():
     failing = by_map = 0
     for space, members in pairs:
         witness = skeletal_family_by_opens(space, members)
-        assert is_skeletal_family(OpenFamily.of(space, members)) == (witness is None, witness)
+        assert is_skeletal_family(OpenFamily(space, members)) == (witness is None, witness)
         failing += witness is not None
         q = build_quotient(space, members)
         images = [q.map.image_of(m) for m in members if m]

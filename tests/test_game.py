@@ -9,7 +9,6 @@ from topolab.errors import EmptySpace, IllegalMove, NotClopen
 from topolab.families import OpenFamily, build_quotient, seq_family
 from topolab.game import (
     EchoStrategy,
-    GameSolution,
     MinimalReplyStrategy,
     PositionalStrategy,
     RoundRobinStrategy,
@@ -39,6 +38,7 @@ from oracles import (
     club_by_strategy_closure,
     default_first_move,
     enumerate_ii_strategies,
+    every_family,
     seq_witness_strategies,
     solve_by_full_scan,
     verify_by_colors,
@@ -77,9 +77,8 @@ def test_player_I_wins_all_small_topologies():
 
 
 def _assert_solver_matches_full_scan(space):
-    sol, ref = solve_open_open(space), solve_by_full_scan(space)
-    assert sol.winner == ref.winner
-    assert sol.table == ref.table
+    sol = solve_open_open(space)
+    assert (sol.winner, sol.table) == solve_by_full_scan(space)
 
 
 def test_solver_matches_full_scan_on_small_spaces():
@@ -95,15 +94,13 @@ def test_solver_matches_full_scan_on_sampled_five_point_spaces():
 
 def _assert_moves_match_the_table(space):
     sol = solve_open_open(space)
-    strategy = sol.strategy  # taken before the table exists
+    strategy = sol.strategy
     table = sol.table
-    from_table = PositionalStrategy(space, table)
     assert set(table) == set(space.opens)
     for s in space.opens:
         status, move = table[s]
         expected = space.opens[1] if status == "dense" else move
         assert strategy.move_at(s) == expected
-        assert from_table.move_at(s) == expected
 
 
 def test_closed_form_moves_match_the_table_on_small_spaces():
@@ -121,21 +118,19 @@ def test_closed_form_moves_match_the_table_on_every_five_point_space():
 
 def test_move_at_a_covered_set_that_is_not_open_raises_key_error():
     sol = solve_open_open(SIERP)  # 0b01 = {0} is not open
-    closed_form = sol.strategy
-    for strategy in (closed_form, PositionalStrategy(SIERP, sol.table), sol.strategy):
-        with pytest.raises(KeyError):
-            strategy.move_at(0b01)
-        with pytest.raises(KeyError):
-            strategy.step(0, 0b01)
+    with pytest.raises(KeyError):
+        sol.strategy.move_at(0b01)
+    with pytest.raises(KeyError):
+        sol.strategy.step(0, 0b01)
     with pytest.raises(KeyError):
         sol.table[0b01]
 
 
 def test_solving_and_verifying_build_no_table(monkeypatch):
-    def unread(*args):
+    def unread(self):
         raise AssertionError("table built")
 
-    monkeypatch.setattr(game, "_build_table", unread)
+    monkeypatch.setattr(PositionalStrategy, "table", property(unread))
     for space in all_spaces(3, min_points=1) + [WEDGE]:
         sol = solve_open_open(space)
         assert verify_winning(space, sol.strategy).winning
@@ -145,10 +140,29 @@ def test_solving_and_verifying_build_no_table(monkeypatch):
             sol.table
         with pytest.raises(AssertionError, match="table built"):
             sol.strategy.table
-    # a table passed in is read, never rebuilt
-    planted = GameSolution(SIERP, "I", {0: ("win", 0b11), 0b10: ("win", 0b11), 0b11: ("dense", None)})
-    assert planted.table[0] == ("win", 0b11)
-    assert planted.strategy.move_at(0) == 0b11
+
+
+def test_solver_closure_is_the_seed_plus_the_minimal_opens():
+    # the solver offers minimal opens only, at dense positions too (the
+    # least nonempty open), and each reply grows the covered set by the
+    # next one, so its closure adds exactly the minimal opens
+    pairs = [
+        (space, members) for space in all_spaces(3, min_points=1) for members in every_family(space)
+    ]
+    assert len(pairs) == 1068
+    rng = rng_for(31, "solver-closure-4")
+    spaces4 = list(all_topologies(4))
+    for _ in range(500):
+        space = rng.choice(spaces4)
+        pairs.append((space, random_family(rng, space).members))
+    for space, members in pairs:
+        fam = closure_under_strategies(OpenFamily(space, members), [solve_open_open(space).strategy])
+        minimal = {
+            o
+            for o in space.nonempty_opens()
+            if not any(u and u != o and u & ~o == 0 for u in space.opens)
+        }
+        assert fam.members == {m for m in members if m} | minimal, (space, members)
 
 
 def test_minimal_strategy_examples():
@@ -316,35 +330,35 @@ def test_witness_strategy_examples():
 
 def test_closure_examples():
     comp = seq_witness_strategies(D2)[1]
-    fam = closure_under_strategies(OpenFamily.of(D2, [0b01]), [UnionStrategy(D2), comp])
+    fam = closure_under_strategies(OpenFamily(D2, [0b01]), [UnionStrategy(D2), comp])
     assert fam.members == frozenset({0b01, 0b10, 0b11})
     again = closure_under_strategies(fam, [UnionStrategy(D2), comp])
     assert again.members == fam.members
 
     const = RoundRobinStrategy(D3, [0b010])
-    fam2 = closure_under_strategies(OpenFamily.of(D3, []), [const])
+    fam2 = closure_under_strategies(OpenFamily(D3, []), [const])
     assert fam2.members == frozenset({0b010})
 
 
 def test_closure_drops_empty_seed_members():
-    fam = closure_under_strategies(OpenFamily.of(D2, [0, 0b01]), [RoundRobinStrategy(D2, [0b01])])
+    fam = closure_under_strategies(OpenFamily(D2, [0, 0b01]), [RoundRobinStrategy(D2, [0b01])])
     assert fam.members == frozenset({0b01})
 
 
 def test_closure_and_club_reject_a_seed_that_is_not_open():
     # with no strategies the closure is the seed
-    same = OpenFamily.of(FiniteSpace.discrete(2), [0b01])
+    same = OpenFamily(FiniteSpace.discrete(2), [0b01])
     assert closure_under_strategies(same, []).members == {0b01}
     with pytest.raises(ValueError, match="not open"):
-        closure_under_strategies(OpenFamily.of(SIERP, [0b01]), [])
+        closure_under_strategies(OpenFamily(SIERP, [0b01]), [])
     with pytest.raises(ValueError, match="not open"):
-        build_tclub_member(OpenFamily.of(SIERP, [0b01]))  # {0} is not even open
+        build_tclub_member(OpenFamily(SIERP, [0b01]))  # {0} is not even open
 
 
 def test_tclub_examples():
-    fam = build_tclub_member(OpenFamily.of(D2, [0b01]))
+    fam = build_tclub_member(OpenFamily(D2, [0b01]))
     assert fam.members == frozenset({0, 0b01, 0b10, 0b11})
-    fam2 = build_tclub_member(OpenFamily.of(D2, []))
+    fam2 = build_tclub_member(OpenFamily(D2, []))
     assert fam2.members == frozenset({0, 0b01, 0b10, 0b11})
     ok, _ = check_condition_S(fam2)
     assert ok
@@ -352,13 +366,13 @@ def test_tclub_examples():
 
 def test_tclub_validates_clopen_seed():
     with pytest.raises(NotClopen):
-        build_tclub_member(OpenFamily.of(SIERP, [0b10]))  # {1} is open, not closed
+        build_tclub_member(OpenFamily(SIERP, [0b10]))  # {1} is open, not closed
     with pytest.raises(EmptySpace):
-        build_tclub_member(OpenFamily.of(FiniteSpace(0, [0]), []))
+        build_tclub_member(OpenFamily(FiniteSpace(0, [0]), []))
 
 
 def test_tclub_postconditions_on_connected_space():
-    fam = build_tclub_member(OpenFamily.of(WEDGE, []))
+    fam = build_tclub_member(OpenFamily(WEDGE, []))
     assert fam.members == frozenset({0, 0b111})
     assert fam.is_ring()
     assert fam.members <= seq_family(fam).members
@@ -383,7 +397,7 @@ def test_tclub_theorem_seeded():
         assert q.quotient_space.separation_flags().completely_regular
         # closed under every strategy that built it: rebuilding is stable
         clopen_part = fam.members & set(space.clopens())
-        assert build_tclub_member(OpenFamily.of(space, clopen_part)).members == fam.members
+        assert build_tclub_member(OpenFamily(space, clopen_part)).members == fam.members
 
 
 def _assert_club_matches_strategy_closure(seed):
@@ -397,7 +411,7 @@ def test_club_member_matches_strategy_closure_on_small_spaces():
         clopens = [c for c in space.clopens() if c]
         seeds = [()] + [(c,) for c in clopens] + list(itertools.combinations(clopens, 2))
         for members in seeds:
-            _assert_club_matches_strategy_closure(OpenFamily.of(space, members))
+            _assert_club_matches_strategy_closure(OpenFamily(space, members))
             cases += 1
     assert cases == 1975
 
@@ -417,9 +431,9 @@ def test_hybrid_strategy_is_winning_everywhere():
 
 
 def test_condition_S_examples():
-    ok, witness = check_condition_S(OpenFamily.of(D2, [0b10]))
+    ok, witness = check_condition_S(OpenFamily(D2, [0b10]))
     assert not ok and witness == 0b01
-    ok, _ = check_condition_S(OpenFamily.of(D2, D2.nonempty_opens()))
+    ok, _ = check_condition_S(OpenFamily(D2, D2.nonempty_opens()))
     assert ok
 
 
@@ -445,7 +459,7 @@ def test_closure_lemma_with_a_negative_control():
         losers = (RoundRobinStrategy(space, [a]) for a in opens)
         loser = next((s for s in losers if not verify_winning(space, s).winning), None)
         for members in seeds:
-            seed = OpenFamily.of(space, members)
+            seed = OpenFamily(space, members)
             for strategy in winners:
                 assert check_condition_S(closure_under_strategies(seed, [strategy]))[0]
                 cases += 1

@@ -39,7 +39,7 @@ def test_family_and_quotient_encoding():
     from topolab.families import OpenFamily, build_quotient
 
     chain = FiniteSpace.chain(3)
-    fam = OpenFamily.of(chain, [0b001, 0b011])
+    fam = OpenFamily(chain, [0b001, 0b011])
     blob = jsonio.encode_family(fam)
     assert blob["members"] == [[0], [0, 1]]
     back = jsonio.decode_family(blob)

@@ -8,7 +8,7 @@ import pytest
 from topolab import families, jsonio, suites
 from topolab.enumeration import all_spaces
 from topolab.families import build_quotient
-from topolab.game import GameSolution, count_ii_strategies, play
+from topolab.game import PositionalStrategy, count_ii_strategies, play
 from topolab.spaces import FiniteSpace
 
 from oracles import (
@@ -65,19 +65,16 @@ def is_dense_ignoring_last_row(monkeypatch):
 
 
 def solver_accepting_replies_that_do_not_grow(monkeypatch):
-    """The solved table plays the least nonempty open not inside the
+    """The solved strategy plays the least nonempty open not inside the
     covered set, so a reply inside the covered set does not grow it."""
-    real = suites.solve_open_open
+    real = PositionalStrategy._solved_move
 
-    def mutant(space):
-        sol = real(space)
-        table = {
-            s: (status, next((a for a in space.nonempty_opens() if a & ~s), None))
-            for s, (status, _) in sol.table.items()
-        }
-        return GameSolution(sol.space, sol.winner, table)
+    def mutant(strategy, covered):
+        if real(strategy, covered) is None:
+            return None
+        return next(a for a in strategy.space.nonempty_opens() if a & ~covered)
 
-    monkeypatch.setattr(suites, "solve_open_open", mutant)
+    monkeypatch.setattr(PositionalStrategy, "_solved_move", mutant)
 
 
 def minimal_open_family_dropping_its_last_member(monkeypatch):
@@ -181,8 +178,8 @@ def test_mutant_violates_its_property(monkeypatch, plant, suite, prop):
 
 
 def test_signature_oracle_sees_a_fault_in_meet_rows(monkeypatch):
-    # classes_of reads the same meet_rows as build_quotient, so only the
-    # membership signatures group the points independently of it
+    # build_quotient groups the points by meet_rows, so only the
+    # membership signatures group them independently of it
     meet_rows_dropping_its_largest_set(monkeypatch)
     pairs = [(space, members) for space in all_spaces(3) for members in every_family(space)]
     disagree = sum(
@@ -235,11 +232,10 @@ def test_transducers_are_played_one_by_one_when_the_certificate_fails(monkeypatc
     # minimal open on every space but the indiscrete ones, so the suite
     # plays each opponent; all of them still lose, and the counts match
     # the ones the certificate gives on the sound solver
-    real = suites.solve_open_open
+    real = PositionalStrategy._solved_move
 
-    def opening_with_the_whole_space(space):
-        sol = real(space)
-        return GameSolution(sol.space, sol.winner, {**sol.table, 0: ("win", space.full)})
+    def opening_with_the_whole_space(strategy, covered):
+        return strategy.space.full if covered == 0 else real(strategy, covered)
 
     tables_played = 0
     real_play = suites.play
@@ -249,7 +245,7 @@ def test_transducers_are_played_one_by_one_when_the_certificate_fails(monkeypatc
         tables_played += strategy_ii.kind == "table"
         return real_play(space, strategy_i, strategy_ii, max_rounds)
 
-    monkeypatch.setattr(suites, "solve_open_open", opening_with_the_whole_space)
+    monkeypatch.setattr(PositionalStrategy, "_solved_move", opening_with_the_whole_space)
     monkeypatch.setattr(suites, "play", counting_play)
     rep = suites.game_suite(max_points=3, samples=0, seed=0)
     assert not any(v["property"] == "solver_beats_small_transducers" for v in rep.violations)

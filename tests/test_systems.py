@@ -245,7 +245,7 @@ def test_limit_is_the_top_node_on_the_seed_42_suite_systems():
     # the club systems and the directed family systems of the same run
     for space in all_spaces(4, min_points=1):
         seeds = [()] + [(c,) for c in space.clopens() if c]
-        members = [build_tclub_member(OpenFamily.of(space, s)) for s in seeds]
+        members = [build_tclub_member(OpenFamily(space, s)) for s in seeds]
         built.append(system_from_families(space, members).system)
     rng2 = rng_for(42, "dirfam")
     for i in range(120):
@@ -432,10 +432,10 @@ def test_system_from_families_refuses_floats_and_strings():
 
 def test_club_collection_gives_skeletal_bonds():
     for space in all_spaces(3, min_points=1):
-        members = [build_tclub_member(OpenFamily.of(space, []))]
+        members = [build_tclub_member(OpenFamily(space, []))]
         for c in space.clopens():
             if c:
-                members.append(build_tclub_member(OpenFamily.of(space, [c])))
+                members.append(build_tclub_member(OpenFamily(space, [c])))
         fs = system_from_families(space, members)
         for pair in fs.system.poset.pairs():
             assert fs.system.bond(*pair).is_skeletal()
@@ -461,7 +461,7 @@ def test_embedding_identity_and_homeomorphism():
 def test_embedding_base_and_openness_against_opens_scans():
     rng = rng_for(11, "embedding-oracle")
     systems = [
-        system_from_families(space, [build_tclub_member(OpenFamily.of(space, []))])
+        system_from_families(space, [build_tclub_member(OpenFamily(space, []))])
         for space in all_spaces(3, min_points=1)
     ]
     for i in range(80):
@@ -493,7 +493,7 @@ def test_embedding_t0_reflection_sanity():
 
 def test_embedding_homeomorphism_when_separating_clopen_base():
     for space in all_spaces(4, min_points=1):
-        members = [build_tclub_member(OpenFamily.of(space, []))]
+        members = [build_tclub_member(OpenFamily(space, []))]
         fs = system_from_families(space, members)
         f, rep = embedding_map(fs)
         if rep.separates_points and rep.union_is_base:
