@@ -26,7 +26,6 @@ from .families import (
     Quotient,
     build_quotient,
     families_from_map,
-    family_from_map,
     is_skeletal_family,
     ring_closure,
     seq_family,

@@ -24,41 +24,21 @@ from typing import Iterator
 from .spaces import FiniteSpace
 
 __all__ = [
-    "preorders",
     "all_topologies",
     "all_spaces",
-    "count_topologies_bruteforce",
     "opens_families_bruteforce",
 ]
 
 
-def preorders(n: int) -> Iterator[tuple[int, ...]]:
-    """All reflexive transitive relations on n points, as row bitmasks.
-
-    Lexicographic on (rows[n-1], ..., rows[0]): rows are fixed from the last
-    point down, and each point p takes its rows in ascending order.  They
-    are generated, not tried: a row for p is p together with a union of
-    fixed rows and any lower points, all inside the meet of the fixed rows
-    that hold p.  ``_preorder_search`` proves these are exactly the rows
-    transitive against the fixed ones.
-    """
-    for rows, _ in _preorder_search(n):
-        yield rows
-
-
 def all_topologies(n: int) -> Iterator[FiniteSpace]:
-    """The up-set topology of each preorder, in the order of ``preorders``;
-    its opens are the unions the search carries to the leaf."""
-    for rows, opens in _preorder_search(n):
-        yield FiniteSpace(n, opens, _rows=rows)
+    """The up-set topology of each preorder on n points, lexicographic on
+    (rows[n-1], ..., rows[0]); its opens are the unions the search carries
+    to the leaf.
 
-
-def _preorder_search(n: int) -> Iterator[tuple[tuple[int, ...], set[int]]]:
-    """Each preorder on n points with its opens, in the order of ``preorders``.
-
-    The search fixes rows from point n-1 down and carries ``unions``, the
-    union closure of the rows fixed so far, with 0.  A new row for p must
-    hold p and be transitive against each placed point q > p:
+    The search fixes rows from point n-1 down, each point taking its rows
+    in ascending order, and carries ``unions``, the union closure of the
+    rows fixed so far, with 0.  A new row for p must hold p and be
+    transitive against each placed point q > p:
 
     - if q is in the row, rows[q] lies inside it.  So the placed points of
       the row are covered by V, the union of their rows, which lies inside
@@ -78,9 +58,9 @@ def _preorder_search(n: int) -> Iterator[tuple[tuple[int, ...], set[int]]]:
     full = (1 << n) - 1
     rows = [0] * n
 
-    def extend(p: int, unions: set[int]) -> Iterator[tuple[tuple[int, ...], set[int]]]:
+    def extend(p: int, unions: set[int]) -> Iterator[FiniteSpace]:
         if p < 0:
-            yield tuple(rows), unions
+            yield FiniteSpace(n, unions, _rows=tuple(rows))
             return
         bit = 1 << p
         bound = full
@@ -109,14 +89,6 @@ def all_spaces(max_points: int, min_points: int = 0) -> list[FiniteSpace]:
     for n in range(min_points, max_points + 1):
         out.extend(all_topologies(n))
     return out
-
-
-def count_topologies_bruteforce(n: int) -> int:
-    """Count families of subsets of an n-set that form a topology.
-
-    Exponential in 2**n; meant for n <= 5.
-    """
-    return len(opens_families_bruteforce(n))
 
 
 def opens_families_bruteforce(n: int) -> set[frozenset[int]]:

@@ -39,7 +39,6 @@ __all__ = [
     "seq_family_bruteforce",
     "ring_closure",
     "is_skeletal_family",
-    "family_from_map",
     "families_from_map",
 ]
 
@@ -328,8 +327,3 @@ def families_from_map(
             preimages[v] = space_map.preimage_of(v)
         yield OpenFamily(space_map.domain, (preimages[v] for v in members))
 
-
-def family_from_map(space_map: SpaceMap, pibase: Iterable[int]) -> OpenFamily:
-    """Preimages of a pi-base of the codomain, as a family over the domain:
-    the one-pi-base case of ``families_from_map``."""
-    return next(families_from_map(space_map, [pibase]))

@@ -1,4 +1,6 @@
-"""Canonical JSON for every value that crosses the CLI boundary.
+"""Canonical JSON for every value that crosses the CLI boundary: spaces,
+families and systems both ways, and transcripts, solutions and strategies
+out.
 
 Sets of points serialize as sorted index lists, families as sorted lists
 of those, and objects always dump with sorted keys and no whitespace, so
@@ -11,7 +13,7 @@ import json
 from typing import Any
 
 from .errors import NotDirected
-from .families import OpenFamily, Quotient
+from .families import OpenFamily
 from .game import (
     GameSolution,
     PositionalStrategy,
@@ -28,12 +30,8 @@ __all__ = [
     "mask_to_list",
     "encode_space",
     "decode_space",
-    "encode_map",
-    "decode_map",
     "encode_family",
     "decode_family",
-    "encode_quotient",
-    "encode_limit",
     "encode_system",
     "decode_system",
     "encode_transcript",
@@ -63,9 +61,8 @@ def encode_space(space: FiniteSpace) -> dict:
 
 
 def decode_space(obj: dict) -> FiniteSpace:
-    """Inverse of encode_space; checks shapes, point ranges and that some
-    open lists every point (which bounds the point count by the input's
-    size) before any shift, so malformed input raises ValueError."""
+    """Inverse of encode_space; checks shapes and point ranges before any
+    shift, so malformed input raises ValueError."""
     if not isinstance(obj, dict) or not isinstance(obj.get("opens"), list):
         raise ValueError('a space is an object with "points" and an "opens" list')
     n = obj.get("points")
@@ -75,8 +72,6 @@ def decode_space(obj: dict) -> FiniteSpace:
         raise ValueError("a space has at most %d points, not %d" % (MAX_SPACE_POINTS, n))
     if not all(_is_points(o, n) for o in obj["opens"]):
         raise ValueError("each open must be a list of points in range(%d)" % n)
-    if not any(len(set(o)) == n for o in obj["opens"]):
-        raise ValueError("no open lists all %d points" % n)
     return FiniteSpace(n, (mask_of(o) for o in obj["opens"]))
 
 
@@ -96,22 +91,6 @@ def _assignment(value) -> list:
     return value
 
 
-def encode_map(m: SpaceMap) -> dict:
-    return {
-        "domain": encode_space(m.domain),
-        "codomain": encode_space(m.codomain),
-        "assign": list(m.assign),
-    }
-
-
-def decode_map(obj: dict) -> SpaceMap:
-    """Inverse of encode_map; malformed input raises ValueError."""
-    if not isinstance(obj, dict):
-        raise ValueError('a map is an object with "domain", "codomain" and "assign"')
-    domain, codomain = decode_space(obj.get("domain")), decode_space(obj.get("codomain"))
-    return SpaceMap(domain, codomain, _assignment(obj.get("assign")))
-
-
 def encode_family(fam: OpenFamily) -> dict:
     return {
         "space": encode_space(fam.space),
@@ -128,19 +107,6 @@ def decode_family(obj: dict) -> OpenFamily:
     if not all(_is_points(m, space.point_count) for m in obj["members"]):
         raise ValueError("each member must be a list of points in range(%d)" % space.point_count)
     return OpenFamily(space, (mask_of(m) for m in obj["members"]))
-
-
-def encode_quotient(q: Quotient) -> dict:
-    return {
-        "space": encode_space(q.space),
-        "family": sorted(mask_to_list(m) for m in q.family.members),
-        "classes": [mask_to_list(c) for c in q.classes],
-        "assign": list(q.assign),
-        "quotient": encode_space(q.quotient_space),
-        "identity_holds": q.identity_holds,
-        "continuous": q.q_continuous,
-        "image_is_base": q.image_is_base,
-    }
 
 
 def encode_system(sys: InverseSystem) -> dict:
@@ -193,15 +159,6 @@ def decode_system(obj: dict) -> InverseSystem:
     if not system.check.ok:
         raise ValueError("invalid system: %s" % system.check.witness)
     return system
-
-
-def encode_limit(lim) -> dict:
-    """Limit report with the full thread table and projection assignments."""
-    return {
-        "threads": [list(t) for t in lim.threads],
-        "space": encode_space(lim.space),
-        "projections": [list(p.assign) for p in lim.projections],
-    }
 
 
 def encode_transcript(t: Transcript) -> dict:

@@ -104,12 +104,10 @@ def random_quotient_chain(
     poset = DirectedPoset(labels, leq)
     bonds = {}
     for j in range(k):
-        for i in range(j):
-            # compose merge steps from level j down to level i
-            m = None
-            for level in range(k - 1 - j, k - 1 - i):
-                m = steps[level] if m is None else steps[level].compose(m)
-            bonds[(i, j)] = m
+        for i in range(j - 1, -1, -1):
+            # the merge step from node i + 1 to node i, after bond (i + 1, j)
+            step = steps[k - 2 - i]
+            bonds[(i, j)] = step if i + 1 == j else step.compose(bonds[(i + 1, j)])
     return InverseSystem(poset=poset, spaces=tuple(spaces), bonds=bonds)
 
 

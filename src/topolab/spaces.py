@@ -247,9 +247,6 @@ class FiniteSpace:
     def is_open(self, mask: int) -> bool:
         return mask in self._open_set
 
-    def is_closed(self, mask: int) -> bool:
-        return (self.full ^ mask) in self._open_set
-
     def nonempty_opens(self) -> tuple[int, ...]:
         """Every open but the empty set, which heads the sorted opens."""
         return self.opens[1:]
@@ -280,12 +277,6 @@ class FiniteSpace:
             if not row & mask:
                 return False
         return True
-
-    def minimal_open_neighborhood(self, x: int) -> int:
-        """Intersection of all opens containing x: row x."""
-        if not 0 <= x < self.point_count:
-            raise ValueError("point %d out of range" % x)
-        return self.rows[x]
 
     def minimal_open_family(self) -> tuple[int, ...]:
         """The inclusion-minimal rows, ascending.

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 
 from . import jsonio
-from .enumeration import all_spaces, all_topologies, count_topologies_bruteforce
+from .enumeration import all_spaces, all_topologies, opens_families_bruteforce
 from .errors import NonSkeletalBond
 from .families import (
     OpenFamily,
@@ -61,13 +61,11 @@ from .systems import (
 
 __all__ = ["SuiteReport", "run_suite", "SUITE_NAMES", "MAX_SUITE_POINTS", "MAX_SUITE_SAMPLES"]
 
-SUITE_NAMES = ("quotient", "game", "systems", "roundtrip")
 # The quotient suite walks every topology on up to max_points points and
 # the game suite counts them by brute force; both grow doubly
 # exponentially (9,535,241 topologies on 7 points).
 MAX_SUITE_POINTS = 4
-# Every sampled section runs in time linear in the samples; at the cap,
-# suite all --max-points 4 took 3.2-3.6 s in-process on a shared 2-CPU host.
+# Every sampled section runs in time linear in the samples.
 MAX_SUITE_SAMPLES = 10_000
 
 
@@ -76,17 +74,14 @@ class SuiteReport:
 
     __slots__ = ("name", "seed", "max_points", "samples", "cases_run", "counts", "violations")
 
-    def __init__(
-        self, name: str, seed: int, max_points: int, samples: int, cases_run: int = 0,
-        counts: dict | None = None, violations: list | None = None,
-    ):
+    def __init__(self, name: str, seed: int, max_points: int, samples: int):
         self.name = name
         self.seed = seed
         self.max_points = max_points
         self.samples = samples
-        self.cases_run = cases_run
-        self.counts = {} if counts is None else counts
-        self.violations = [] if violations is None else violations
+        self.cases_run = 0
+        self.counts = {}
+        self.violations = []
 
     def check(self, ok: bool, prop: str, witness, cases: int = 1) -> None:
         """Count ``cases`` cases of ``prop``; if ``ok`` is false, record a
@@ -170,7 +165,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
             )
         minimal = space.minimal_open_family()
         for x in range(space.point_count):
-            m = space.minimal_open_neighborhood(x)
+            m = space.rows[x]
             rep.check(
                 space.is_open(m) and all(not ((o >> x) & 1) or m & ~o == 0 for o in space.opens),
                 "minimal_neighborhood_least",
@@ -261,7 +256,7 @@ def quotient_suite(max_points: int = 3, samples: int = 1000, seed: int = 0) -> S
         q = build_quotient(space, space.opens)
         by_nbhd: dict[int, int] = {}
         for x in range(space.point_count):
-            key = space.minimal_open_neighborhood(x)
+            key = space.rows[x]
             by_nbhd[key] = by_nbhd.get(key, 0) | (1 << x)
         rep.check(
             set(by_nbhd.values()) == set(q.classes),
@@ -422,7 +417,7 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
     # a desk-scale observation; the report labels it as derived
     rep.counts["universal_I_win"] = "derived by enumeration up to %d points" % max_points
     top_n = min(max_points, 4)
-    brute = count_topologies_bruteforce(top_n)
+    brute = len(opens_families_bruteforce(top_n))
     rep.check(
         per_n.get(top_n) == brute,
         "enumeration_cross_check",
@@ -715,6 +710,7 @@ _RUNNERS = {
     "systems": systems_suite,
     "roundtrip": roundtrip_suite,
 }
+SUITE_NAMES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, max_points: int, samples: int, seed: int):

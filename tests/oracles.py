@@ -363,7 +363,7 @@ def separation_flags_by_definition(space: FiniteSpace) -> SeparationReport:
                 (u >> x) & 1 and c & ~v == 0 and u & v == 0 for u in opens for v in opens
             ):
                 regular = False
-    clop = [o for o in opens if space.is_closed(o)]
+    clop = [o for o in opens if (space.full ^ o) in opens]
     completely_regular = all(
         any((c >> x) & 1 and c & ~o == 0 for c in clop) for o in opens for x in bits_of(o)
     )

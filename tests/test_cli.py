@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,13 @@ def test_gen_system_validates():
     assert out.returncode == 0
     sys_obj = decode_system(json.loads(out.stdout))
     assert validate_system(sys_obj).ok
+
+
+def test_gen_system_at_the_chain_cap_keeps_its_bytes(capsys):
+    # the largest chain gen system emits; its bonds reuse the bonds above them
+    assert cli.main(["gen", "system", "--chain", "64", "--points", "6", "--seed", "1"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "ccf0d173e2b1669117b154f25bfe579a5897d1ceae303f77c4d8b8f822ca585d"
 
 
 def test_gen_rejects_oversize():
@@ -127,6 +135,7 @@ def test_game_rejects_bad_json():
         '{"points":3,"opens":[[0,"a"]]}',
         "[1,2]",
         '{"points":3,"opens":[[1000000000000]]}',
+        '{"points":2,"opens":[[],[0]]}',
     ],
 )
 def test_game_rejects_malformed_space(tmp_path, blob):

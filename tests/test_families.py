@@ -8,7 +8,6 @@ from topolab.families import (
     OpenFamily,
     build_quotient,
     families_from_map,
-    family_from_map,
     is_skeletal_family,
     ring_closure,
     seq_family,
@@ -317,16 +316,16 @@ def test_skeletal_family_examples():
 
 def test_family_from_map_examples():
     ident = SpaceMap.identity(SIERP)
-    fam = family_from_map(ident, SIERP.nonempty_opens())
+    fam = next(families_from_map(ident, [SIERP.nonempty_opens()]))
     assert fam.members == frozenset(SIERP.nonempty_opens())
 
     d4 = FiniteSpace.discrete(4)
     pairing = SpaceMap(d4, D2, [0, 0, 1, 1])
-    fam = family_from_map(pairing, [0b01, 0b10])
+    fam = next(families_from_map(pairing, [[0b01, 0b10]]))
     assert fam.members == frozenset({0b0011, 0b1100})
 
     to_sierp = SpaceMap(D2, SIERP, [0, 1])
-    fam = family_from_map(to_sierp, [0b10])
+    fam = next(families_from_map(to_sierp, [[0b10]]))
     assert fam.members == frozenset({0b10})
 
 
@@ -359,11 +358,11 @@ def test_open_family_init_refuses_members_that_are_not_ints():
 
 def test_family_from_map_validation():
     with pytest.raises(NotAPiBase):
-        family_from_map(SpaceMap.identity(D2), [0b01])  # misses opens inside {1}
+        next(families_from_map(SpaceMap.identity(D2), [[0b01]]))  # misses opens inside {1}
     with pytest.raises(NotAPiBase):
-        family_from_map(SpaceMap.identity(D2), [0, 0b01, 0b10])  # empty member
+        next(families_from_map(SpaceMap.identity(D2), [[0, 0b01, 0b10]]))  # empty member
     with pytest.raises(NotContinuous):
-        family_from_map(SpaceMap(SIERP, D2, [0, 1]), [0b01, 0b10])
+        next(families_from_map(SpaceMap(SIERP, D2, [0, 1]), [[0b01, 0b10]]))
 
 
 def pi_bases(space):
@@ -384,7 +383,7 @@ def test_skeletal_family_iff_skeletal_map_exhaustive():
                     continue
                 skel = m.is_skeletal()
                 for pibase in pi_bases(cod):
-                    fam = family_from_map(m, pibase)
+                    fam = next(families_from_map(m, [pibase]))
                     assert is_skeletal_family(fam)[0] == skel
 
 
@@ -402,7 +401,7 @@ def test_families_from_map_match_one_call_per_pi_base():
                 fams = list(families_from_map(m, pibases))
                 assert len(fams) == len(pibases)
                 for pibase, fam in zip(pibases, fams):
-                    one = family_from_map(m, pibase)
+                    one = next(families_from_map(m, [pibase]))
                     assert fam.space is dom and fam.members == one.members
                     assert is_skeletal_family(fam) == is_skeletal_family(one)
                     checked += 1
@@ -422,7 +421,7 @@ def test_families_from_map_raise_at_the_first_invalid_pi_base():
         minimal = valid[0]  # every pi-base holds the minimal opens
         for bad in (minimal + [0], minimal[1:]):
             with pytest.raises(NotAPiBase) as one:
-                family_from_map(identity, bad)
+                next(families_from_map(identity, [bad]))
             gen = families_from_map(identity, valid + [bad] + valid)
             for pibase in valid:
                 assert next(gen).members == frozenset(pibase)
@@ -482,9 +481,9 @@ def test_pi_base_check_against_opens_scan_exhaustive():
             members = [m for m in members if m]
             witness = least_open_without_member(space, members)
             if witness is None:
-                assert family_from_map(identity, members).members == frozenset(members)
+                assert next(families_from_map(identity, [members])).members == frozenset(members)
             else:
                 rejected += 1
                 with pytest.raises(NotAPiBase, match="open %d contains" % witness):
-                    family_from_map(identity, members)
+                    next(families_from_map(identity, [members]))
     assert rejected > 100

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from topolab import cli, jsonio
 from topolab.randgen import random_family, random_quotient_chain, random_space, rng_for
-from topolab.spaces import SpaceMap
 
 FUZZ = settings(
     max_examples=120,
@@ -59,13 +58,6 @@ def _valid_family(seed, n):
     return jsonio.encode_family(random_family(rng, random_space(rng, n)))
 
 
-def _valid_map(seed, n):
-    rng = rng_for(seed, "fuzz")
-    dom, cod = random_space(rng, n), random_space(rng, max(n - 1, 1))
-    assign = [rng.randrange(cod.point_count) for _ in range(n)]
-    return jsonio.encode_map(SpaceMap(dom, cod, assign))
-
-
 def _valid_system(seed, n):
     return jsonio.encode_system(random_quotient_chain(rng_for(seed, "fuzz"), n, 1 + seed % 3))
 
@@ -73,16 +65,12 @@ def _valid_system(seed, n):
 VALID = {
     jsonio.decode_space: _valid_space,
     jsonio.decode_family: _valid_family,
-    jsonio.decode_map: _valid_map,
     jsonio.decode_system: _valid_system,
 }
 LIKE = {
     jsonio.decode_space: space_like,
     jsonio.decode_family: st.fixed_dictionaries(
         {"space": space_like, "members": st.lists(point_lists | junk, max_size=5)}
-    ),
-    jsonio.decode_map: st.fixed_dictionaries(
-        {"domain": space_like, "codomain": space_like, "assign": point_lists | junk}
     ),
     jsonio.decode_system: st.fixed_dictionaries(
         {
