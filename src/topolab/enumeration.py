@@ -37,8 +37,9 @@ def all_topologies(n: int) -> Iterator[FiniteSpace]:
 
     The search fixes rows from point n-1 down, each point taking its rows
     in ascending order, and carries ``unions``, the union closure of the
-    rows fixed so far, with 0.  A new row for p must hold p and be
-    transitive against each placed point q > p:
+    rows fixed so far, with 0, as a new frozenset per step that the leaf's
+    ``FiniteSpace`` keeps uncopied as its opens.  A new row for p must
+    hold p and be transitive against each placed point q > p:
 
     - if q is in the row, rows[q] lies inside it.  So the placed points of
       the row are covered by V, the union of their rows, which lies inside
@@ -58,7 +59,7 @@ def all_topologies(n: int) -> Iterator[FiniteSpace]:
     full = (1 << n) - 1
     rows = [0] * n
 
-    def extend(p: int, unions: set[int]) -> Iterator[FiniteSpace]:
+    def extend(p: int, unions: frozenset[int]) -> Iterator[FiniteSpace]:
         if p < 0:
             yield FiniteSpace(n, unions, _rows=tuple(rows))
             return
@@ -81,7 +82,7 @@ def all_topologies(n: int) -> Iterator[FiniteSpace]:
             rows[p] = row
             yield from extend(p - 1, unions | {u | row for u in unions})
 
-    yield from extend(n - 1, {0})
+    yield from extend(n - 1, frozenset({0}))
 
 
 def all_spaces(max_points: int, min_points: int = 0) -> list[FiniteSpace]:

@@ -315,11 +315,10 @@ def verify_winning(space: FiniteSpace, strategy: Strategy) -> VerifyResult:
 
     root = (st0, move0, 0)
     # The stack is the current path: one frame (node, its remaining
-    # replies, the round that reached it) per node.  on_path maps each of
-    # its nodes to the number of rounds before it.
+    # replies, the round that reached it) per node.  seen maps a node on
+    # the path to the number of rounds before it, a finished node to -1.
     stack = [(root, iter(replies(move0)), None)]
-    on_path = {root: 0}
-    done = set()
+    seen = {root: 0}
     nodes = 0
     while stack:
         node, it, _ = stack[-1]
@@ -329,23 +328,22 @@ def verify_winning(space: FiniteSpace, strategy: Strategy) -> VerifyResult:
             if nodes > VERIFY_NODE_LIMIT:
                 raise StateOverflow("verification exceeded %d nodes" % VERIFY_NODE_LIMIT)
             cov2 = covered | b
-            if cov2 & core == core:  # cov2 is open
+            if cov2 & core == core:  # cov2 is dense
                 continue
             move2, st2 = step(st, b)
             child = (st2, move2, cov2)
-            if child in done:  # only nodes with legal moves are ever pushed
+            rounds_before = seen.get(child)
+            if rounds_before is None and move2 and move2 in open_set:
+                seen[child] = len(stack)
+                stack.append((child, iter(replies(move2)), (a, b)))
+                break
+            if rounds_before == -1:  # finished
                 continue
-            illegal = not move2 or move2 not in open_set
-            if illegal or child in on_path:
-                rounds = tuple(frame[2] for frame in stack[1:]) + ((a, b),)
-                loop_start = None if illegal else on_path[child]
-                return VerifyResult(False, PlayTrace(rounds, loop_start), nodes)
-            on_path[child] = len(stack)
-            stack.append((child, iter(replies(move2)), (a, b)))
-            break
+            # an illegal move (never pushed, so unseen) or a cycle on the path
+            rounds = tuple(frame[2] for frame in stack[1:]) + ((a, b),)
+            return VerifyResult(False, PlayTrace(rounds, rounds_before), nodes)
         else:
-            done.add(node)
-            del on_path[node]
+            seen[node] = -1
             stack.pop()
     return VerifyResult(True, None, nodes)
 

@@ -145,7 +145,7 @@ class FiniteSpace:
 
     ``enumeration.all_topologies`` calls ``__init__`` itself: its search
     generates only reflexive transitive rows and carries their union
-    closure down, so at each leaf the opens are already made.
+    closure down as a frozenset, kept uncopied as each leaf's opens.
 
     Three derived facts are computed on first use and kept in slots that
     ``__init__`` sets to None, so construction pays nothing for them and

@@ -24,8 +24,13 @@ def test_preorders_match_trial_in_order(n):
 
 @pytest.mark.parametrize("n", range(6))
 def test_all_topologies_are_the_upset_topologies_of_preorders(n):
-    for space in all_topologies(n):
-        assert set(space.opens) == upset_opens(space.rows), space.rows
+    # checked only once every space is built, so a set of opens that a
+    # later leaf mutated or shared would show
+    spaces = list(all_topologies(n))
+    for space in spaces:
+        assert set(space.opens) == space._open_set == upset_opens(space.rows), space.rows
+        assert type(space._open_set) is frozenset
+    assert len({id(space._open_set) for space in spaces}) == len(spaces)
 
 
 @pytest.mark.parametrize("n, count", [(5, 6942), (6, 209_527)])

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -184,18 +185,72 @@ def test_verify_rejects_bad_strategy():
     assert not D2.is_dense(covered)
 
 
+class _CoverRecorder(game.Strategy):
+    """Wraps a Player I strategy, adding the covered set to its state, and
+    counts each (inner state, covered, move) it emits.  The verifier's
+    nodes under the wrapper map one-to-one onto its nodes under the inner
+    strategy, and it steps once per child it reaches, so a child emitted
+    twice was on the path (the lasso that ends the search) or finished."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.emitted = Counter()
+
+    def initial_state(self):
+        return self.inner.initial_state(), 0
+
+    def step(self, state, observed):
+        st, covered = state
+        if observed is not None:
+            covered |= observed
+        move, st2 = self.inner.step(st, observed)
+        self.emitted[st2, covered, move] += 1
+        return move, (st2, covered)
+
+    def finished_reached(self, result):
+        again = sum(k - 1 for k in self.emitted.values())
+        lasso = result.counterexample is not None and result.counterexample.loop_start is not None
+        return again - lasso
+
+
 def test_verify_agrees_with_the_colouring_search():
     # same verdict, same lasso and the same node count as the GRAY/BLACK
-    # search, for winning and losing strategies on every space up to 4 points;
-    # of these strategies only the last reaches a finished node again, so
-    # only it exercises the done set
+    # search, for winning and losing strategies on every space up to 4
+    # points; 212 (space, strategy) pairs reach a finished node (the -1
+    # entry of the verifier's table) again: 160 with the reversed round
+    # robin, 45 with the ascending one and 7 with the hybrid clopen one
+    reached = Counter()
     for space in all_spaces(4, min_points=1):
-        strategies = [solve_open_open(space).strategy, minimal_open_strategy(space)]
-        strategies += [RoundRobinStrategy(space, [a]) for a in space.nonempty_opens()]
-        strategies.append(RoundRobinStrategy(space, space.nonempty_opens()[::-1]))
-        for strat in strategies:
+        sol = solve_open_open(space)
+        strategies = [("solver", sol.strategy), ("minimal", minimal_open_strategy(space))]
+        strategies += [("single", RoundRobinStrategy(space, [a])) for a in space.nonempty_opens()]
+        strategies.append(("reversed", RoundRobinStrategy(space, space.nonempty_opens()[::-1])))
+        strategies.append(("ascending", RoundRobinStrategy(space, space.nonempty_opens())))
+        strategies.append(("hybrid", HybridClopenStrategy(space, sol)))
+        for name, strat in strategies:
             # VerifyResult compares (winning, counterexample, nodes_explored)
-            assert verify_winning(space, strat) == verify_by_colors(space, strat)
+            result = verify_winning(space, strat)
+            assert result == verify_by_colors(space, strat)
+            recorder = _CoverRecorder(strat)
+            assert verify_winning(space, recorder) == result
+            if recorder.finished_reached(result):
+                reached[name] += 1
+    assert reached == {"reversed": 160, "ascending": 45, "hybrid": 7}
+
+
+def test_verifier_node_count_on_every_five_point_space():
+    # the solver's and the minimal-open strategy's searches on the game-n5
+    # scan.  Both move only minimal opens, whose one reply is the move
+    # itself, so neither reaches a finished position again; the colouring
+    # test above covers that entry
+    nodes = 0
+    for space in all_topologies(5):
+        sol = solve_open_open(space)
+        by_solver = verify_winning(space, sol.strategy)
+        by_minimal = verify_winning(space, minimal_open_strategy(space))
+        assert sol.winner == "I" and by_solver.winning and by_minimal.winning
+        nodes += by_solver.nodes_explored + by_minimal.nodes_explored
+    assert nodes == 26_242
 
 
 def test_verify_monotone_covered_in_every_cycle():
