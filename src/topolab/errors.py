@@ -51,4 +51,6 @@ class IllegalMove(TopolabError):
 
 
 class StateOverflow(TopolabError):
-    """A lazily materialized strategy exceeded its state cap."""
+    """A search over a strategy's states outgrew its cap: ``verify_winning``
+    past ``VERIFY_NODE_LIMIT`` nodes, or ``closure_under_strategies`` once
+    one strategy reaches more than ``CLOSURE_STATE_LIMIT`` states."""

@@ -84,12 +84,6 @@ class OpenFamily:
             for b in self.members
         )
 
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __iter__(self):
         return iter(self.sorted_members)
 

@@ -69,9 +69,6 @@ class Strategy:
     States must be hashable; the verifier explores them exhaustively.
     """
 
-    player = "I"
-    kind = "abstract"
-
     def initial_state(self):
         raise NotImplementedError
 
@@ -88,8 +85,6 @@ class PositionalStrategy(Strategy):
     each read, so play and table cannot disagree.  A covered set that is
     not open raises KeyError.
     """
-
-    kind = "positional"
 
     def __init__(self, space: FiniteSpace):
         self.space = space
@@ -140,10 +135,7 @@ class PositionalStrategy(Strategy):
 class RoundRobinStrategy(Strategy):
     """Player I strategy cycling a fixed list of moves, ignoring replies."""
 
-    kind = "round_robin"
-
-    def __init__(self, space: FiniteSpace, moves: Iterable[int]):
-        self.space = space
+    def __init__(self, moves: Iterable[int]):
         self.moves = tuple(moves)
         if not self.moves:
             raise EmptySpace("round robin needs at least one move")
@@ -157,9 +149,6 @@ class RoundRobinStrategy(Strategy):
 
 class EchoStrategy(Strategy):
     """Player II strategy returning the offered set unchanged."""
-
-    player = "II"
-    kind = "echo"
 
     def initial_state(self):
         return 0
@@ -175,11 +164,7 @@ class MinimalReplyStrategy(Strategy):
     nonempty open holds a minimal open, so this is also the least nonempty
     open inside the offer."""
 
-    player = "II"
-    kind = "minimal"
-
     def __init__(self, space: FiniteSpace):
-        self.space = space
         self._minimal = space.minimal_open_family()
 
     def initial_state(self):
@@ -190,14 +175,12 @@ class MinimalReplyStrategy(Strategy):
 
 
 class TableStrategy(Strategy):
-    """Explicit transducer given by a (state, observed) -> (move, state)
-    table.  Serves both players; the small Player II transducers that
+    """Explicit transducer: ``table`` maps (state, observed) to (move,
+    next state), starting from ``init_state``.  Either player's strategy
+    can be a table; the small Player II transducers that
     ``count_ii_strategies`` counts are tables."""
 
-    kind = "table"
-
-    def __init__(self, player: str, init_state: int, table: dict):
-        self.player = player
+    def __init__(self, init_state: int, table: dict):
         self.init = init_state
         self.table = table
 
@@ -260,7 +243,7 @@ def minimal_open_strategy(space: FiniteSpace) -> RoundRobinStrategy:
     come back verbatim, and their union is dense."""
     if space.point_count == 0:
         raise EmptySpace("the game needs at least one point")
-    return RoundRobinStrategy(space, space.minimal_open_family())
+    return RoundRobinStrategy(space.minimal_open_family())
 
 
 # -- playing and verifying ----------------------------------------------

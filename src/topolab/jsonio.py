@@ -1,6 +1,7 @@
 """Canonical JSON for every value that crosses the CLI boundary: spaces,
-families and systems both ways, and transcripts, solutions and strategies
-out.
+families and systems both ways, and transcripts and solutions out.  The
+suites' witnesses reuse these encoders, and ``encode_transducer`` lists a
+table strategy's rows for them.
 
 Sets of points serialize as sorted index lists, families as sorted lists
 of those, and objects always dump with sorted keys and no whitespace, so
@@ -14,16 +15,9 @@ from typing import Any
 
 from .errors import NotDirected
 from .families import OpenFamily
-from .game import (
-    GameSolution,
-    PositionalStrategy,
-    RoundRobinStrategy,
-    Strategy,
-    TableStrategy,
-    Transcript,
-)
+from .game import GameSolution, TableStrategy, Transcript
 from .spaces import FiniteSpace, SpaceMap, bits_of, mask_of
-from .systems import DirectedPoset, InverseSystem, LimitRoundRobin
+from .systems import DirectedPoset, InverseSystem
 
 __all__ = [
     "dumps",
@@ -36,7 +30,7 @@ __all__ = [
     "decode_system",
     "encode_transcript",
     "encode_solution",
-    "encode_strategy",
+    "encode_transducer",
 ]
 
 # decode_system refuses larger posets before checking their order.
@@ -169,46 +163,31 @@ def encode_transcript(t: Transcript) -> dict:
     }
 
 
-def _win_table(table: dict[int, tuple[str, int | None]]) -> list[dict]:
-    return [
+def encode_solution(sol: GameSolution) -> dict:
+    win_table = [
         {
             "covered": mask_to_list(c),
             "status": status,
             "move": None if move is None else mask_to_list(move),
         }
-        for c, (status, move) in sorted(table.items())
+        for c, (status, move) in sorted(sol.table.items())
     ]
+    return {"winner": sol.winner, "win_table": win_table}
 
 
-def encode_solution(sol: GameSolution) -> dict:
-    return {"winner": sol.winner, "win_table": _win_table(sol.table)}
-
-
-def encode_strategy(strategy: Strategy) -> dict:
-    """The strategy's kind and player, plus the fields that fix its moves;
-    sets are point lists and a transducer table is sorted by state, then
-    by observed set with None first."""
-    out = {"kind": strategy.kind, "player": strategy.player}
-    if isinstance(strategy, PositionalStrategy):
-        out["table"] = _win_table(strategy.table)
-    elif isinstance(strategy, LimitRoundRobin):
-        out["moves"] = [mask_to_list(m) for m in strategy.moves]
-        out["chain"] = list(strategy.chain)
-    elif isinstance(strategy, RoundRobinStrategy):
-        out["moves"] = [mask_to_list(m) for m in strategy.moves]
-    elif isinstance(strategy, TableStrategy):
-        out["init"] = strategy.init
-        rows = sorted(
-            strategy.table.items(),
-            key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1]),
-        )
-        out["table"] = [
-            {
-                "state": s,
-                "observed": None if o is None else mask_to_list(o),
-                "move": mask_to_list(m),
-                "next": t,
-            }
-            for (s, o), (m, t) in rows
-        ]
-    return out
+def encode_transducer(strategy: TableStrategy) -> list[dict]:
+    """The table's rows, sorted by state, then by observed set with None
+    first; sets are point lists."""
+    rows = sorted(
+        strategy.table.items(),
+        key=lambda kv: (kv[0][0], -1 if kv[0][1] is None else kv[0][1]),
+    )
+    return [
+        {
+            "state": s,
+            "observed": None if o is None else mask_to_list(o),
+            "move": mask_to_list(m),
+            "next": t,
+        }
+        for (s, o), (m, t) in rows
+    ]

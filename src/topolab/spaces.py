@@ -114,15 +114,15 @@ class FiniteSpace:
     set; ``full`` is the mask of every point.  Equality and hashing
     compare the rows.
 
-    ``FiniteSpace(n, opens)`` validates input from outside: each open
-    must be an int (``operator.index``, so a float or a string raises
-    ``TypeError``), the empty and full sets must be present, and the
-    family closed under union and intersection.  Its rows are the
-    ``meet_rows`` of the opens, one walk over each open's bits.  Since
-    every member and every meet of two is the union of the rows of its
-    points, it suffices that o | row is a member for every member o and
-    row (o = 0 makes each row one): O(|opens|*n) lookups, not
-    O(|opens|**2).
+    ``FiniteSpace(n, opens)`` validates input from outside: ``n`` and
+    each open must be ints (``operator.index``, so a float or a string
+    raises ``TypeError`` and a bool becomes its int), the empty and full
+    sets must be present, and the family closed under union and
+    intersection.  Its rows are the ``meet_rows`` of the opens, one walk
+    over each open's bits.  Since every member and every meet of two is
+    the union of the rows of its points, it suffices that o | row is a
+    member for every member o and row (o = 0 makes each row one):
+    O(|opens|*n) lookups, not O(|opens|**2).
 
     Every other constructor builds from rows that are already reflexive
     and transitive, which need only a range check, and hands them to
@@ -165,8 +165,10 @@ class FiniteSpace:
     def __init__(
         self, point_count: int, opens: Iterable[int], *, _rows: tuple[int, ...] | None = None
     ):
-        if _rows is None and point_count < 0:
-            raise ValueError("point_count must be >= 0")
+        if _rows is None:
+            point_count = operator.index(point_count)
+            if point_count < 0:
+                raise ValueError("point_count must be >= 0")
         full = (1 << point_count) - 1
         if _rows is None:
             open_set = frozenset(map(operator.index, opens))
@@ -392,6 +394,8 @@ def from_subbasis(point_count: int, subbasis: Iterable[int]) -> FiniteSpace:
     neighborhoods are the rows of the topology's preorder, already
     reflexive and transitive.
     """
+    if point_count < 0:
+        raise ValueError("point_count must be >= 0")
     full = (1 << point_count) - 1
     gens = set()
     for s in subbasis:

@@ -496,7 +496,7 @@ def game_suite(max_points: int = 4, samples: int = 500, seed: int = 0) -> SuiteR
                 rep.check(
                     _beats_quickly(space, play(space, sol.strategy, opp)),
                     "solver_beats_small_transducers",
-                    lambda: [_space_tag(space), states, jsonio.encode_strategy(opp)["table"][:4]],
+                    lambda: [_space_tag(space), states, jsonio.encode_transducer(opp)[:4]],
                 )
     rep.counts["opponents_played"] = vs_count
     return rep
@@ -514,7 +514,7 @@ def _ii_transducers(space: FiniteSpace, n_states: int):
     keys = [(s, a) for s in range(n_states) for a in space.nonempty_opens()]
     options = [[(b, t) for b in space.opens_inside(a) for t in range(n_states)] for _, a in keys]
     for combo in itertools.product(*options):
-        yield TableStrategy("II", 0, dict(zip(keys, combo)))
+        yield TableStrategy(0, dict(zip(keys, combo)))
 
 
 # ----------------------------------------------------------------------

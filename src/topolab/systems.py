@@ -33,7 +33,7 @@ from .errors import (
     NotDirected,
 )
 from .families import OpenFamily, Quotient, build_quotient
-from .game import RoundRobinStrategy, Strategy
+from .game import RoundRobinStrategy
 from .spaces import FiniteSpace, SpaceMap, bits_of
 
 __all__ = [
@@ -411,9 +411,10 @@ def embedding_map(famsys: FamilySystem) -> tuple[SpaceMap, EmbeddingReport]:
     return f, report
 
 
-def limit_strategy(lim: LimitSpace) -> Strategy:
+def limit_strategy(lim: LimitSpace) -> RoundRobinStrategy:
     """Round robin on the limit ``lim`` over the lifted minimal opens of
-    every space of ``lim.system`` along a fixed cofinal chain.
+    every space of ``lim.system``, node by node along the poset's greedy
+    cofinal chain, each lift listed once, in that order.
 
     Requires skeletal bonds.  Each node contributes its minimal opens (a
     pi-base), lifted through the projection; the opponent's replies inside
@@ -428,26 +429,14 @@ def limit_strategy(lim: LimitSpace) -> Strategy:
             raise NonSkeletalBond("bond %d<=%d is not skeletal" % (i, j))
     if lim.space.point_count == 0:
         raise EmptySpace("the limit has no threads")
-    chain = sys.poset.greedy_chain()
     moves: list[int] = []
-    for node in chain:
+    for node in sys.poset.greedy_chain():
         proj = lim.projections[node]
         for m in sys.spaces[node].minimal_open_family():
             lifted = proj.preimage_of(m)
             if lifted and lifted not in moves:
                 moves.append(lifted)
-    return LimitRoundRobin(lim.space, moves, tuple(chain))
-
-
-class LimitRoundRobin(RoundRobinStrategy):
-    """Round robin on a limit space, remembering the cofinal chain the
-    moves were lifted along."""
-
-    kind = "limit_round_robin"
-
-    def __init__(self, space, moves, chain):
-        super().__init__(space, moves)
-        self.chain = chain
+    return RoundRobinStrategy(moves)
 
 
 class SigmaReport(NamedTuple):

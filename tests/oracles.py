@@ -466,9 +466,6 @@ class LeastReplyStrategy(Strategy):
     """Player II strategy returning the least nonempty open inside the
     offer, by scanning every nonempty open."""
 
-    player = "II"
-    kind = "least"
-
     def __init__(self, space: FiniteSpace):
         self.space = space
 
@@ -488,7 +485,7 @@ def enumerate_ii_strategies(space: FiniteSpace, n_states: int) -> Iterator[Table
     keys = [(s, a) for s in range(n_states) for a in opens]
     options = [[(b, t) for b in opens if b & ~a == 0 for t in range(n_states)] for _, a in keys]
     for combo in itertools.product(*options):
-        yield TableStrategy("II", 0, dict(zip(keys, combo)))
+        yield TableStrategy(0, dict(zip(keys, combo)))
 
 
 def poset_order_by_pair_loops(n: int, leq) -> frozenset:
@@ -792,8 +789,6 @@ class WitnessStrategy(Strategy):
     set are constant, which is why a single emission per variant suffices.
     """
 
-    kind = "witness"
-
     _EMPTY, _FIRST, _REST = 0, 1, 2
 
     def __init__(self, space: FiniteSpace, complement: bool):
@@ -827,8 +822,6 @@ class UnionStrategy(Strategy):
     """Emits the union of everything observed so far; default on the
     empty history."""
 
-    kind = "union"
-
     def __init__(self, space: FiniteSpace):
         self.space = space
         self.default = default_first_move(space)
@@ -854,8 +847,6 @@ class HybridClopenStrategy(Strategy):
     set.  Strategy closures of clopen families therefore stay inside the
     clopen algebra.
     """
-
-    kind = "hybrid_clopen"
 
     def __init__(self, space: FiniteSpace, solution: GameSolution):
         if space.point_count == 0:

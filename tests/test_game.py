@@ -173,7 +173,7 @@ def test_minimal_strategy_examples():
 
 
 def test_verify_rejects_bad_strategy():
-    res = verify_winning(D2, RoundRobinStrategy(D2, [0b01]))
+    res = verify_winning(D2, RoundRobinStrategy([0b01]))
     assert not res.winning
     trace = res.counterexample
     assert trace is not None and trace.loop_start is not None
@@ -223,9 +223,9 @@ def test_verify_agrees_with_the_colouring_search():
     for space in all_spaces(4, min_points=1):
         sol = solve_open_open(space)
         strategies = [("solver", sol.strategy), ("minimal", minimal_open_strategy(space))]
-        strategies += [("single", RoundRobinStrategy(space, [a])) for a in space.nonempty_opens()]
-        strategies.append(("reversed", RoundRobinStrategy(space, space.nonempty_opens()[::-1])))
-        strategies.append(("ascending", RoundRobinStrategy(space, space.nonempty_opens())))
+        strategies += [("single", RoundRobinStrategy([a])) for a in space.nonempty_opens()]
+        strategies.append(("reversed", RoundRobinStrategy(space.nonempty_opens()[::-1])))
+        strategies.append(("ascending", RoundRobinStrategy(space.nonempty_opens())))
         strategies.append(("hybrid", HybridClopenStrategy(space, sol)))
         for name, strat in strategies:
             # VerifyResult compares (winning, counterexample, nodes_explored)
@@ -257,7 +257,7 @@ def test_verify_monotone_covered_in_every_cycle():
     # any reported lasso must keep covered constant from loop start on
     for space in all_spaces(3, min_points=1):
         for moves in [(space.nonempty_opens()[0],), space.minimal_open_family()]:
-            res = verify_winning(space, RoundRobinStrategy(space, list(moves)))
+            res = verify_winning(space, RoundRobinStrategy(list(moves)))
             if res.counterexample and res.counterexample.loop_start is not None:
                 rounds = res.counterexample.rounds
                 stem_cover = 0
@@ -299,11 +299,11 @@ def test_play_examples():
     t = play(SIERP, sol.strategy, EchoStrategy())
     assert t.outcome == "I-wins" and len(t.rounds) == 1
 
-    stubborn = RoundRobinStrategy(D2, [0b01])
+    stubborn = RoundRobinStrategy([0b01])
     t2 = play(D2, stubborn, EchoStrategy())
     assert t2.outcome == "II-survives" and t2.covered[-1] == 0b01
     # ten copies of the move give ten states, so no configuration repeats
-    slow = RoundRobinStrategy(D2, [0b01] * 10)
+    slow = RoundRobinStrategy([0b01] * 10)
     t3 = play(D2, slow, EchoStrategy(), max_rounds=10)
     assert t3.outcome == "cutoff" and len(t3.rounds) == 10 and t3.covered[-1] == 0b01
 
@@ -328,7 +328,7 @@ def test_play_rejects_illegal_moves():
 
     space = FiniteSpace.sierpinski()
     with pytest.raises(IllegalMove):
-        play(space, BadI(space, [0b10]), EchoStrategy())
+        play(space, BadI([0b10]), EchoStrategy())
 
 
 @pytest.mark.parametrize("move", [0, 0b01])
@@ -337,7 +337,7 @@ def test_play_rejects_a_bad_offer_before_the_minimal_reply(move):
     # reaches it
     space = FiniteSpace.sierpinski()
     with pytest.raises(IllegalMove, match="Player I"):
-        play(space, RoundRobinStrategy(space, [move]), MinimalReplyStrategy(space))
+        play(space, RoundRobinStrategy([move]), MinimalReplyStrategy(space))
 
 
 def test_play_against_echo_and_minimal_replies():
@@ -390,13 +390,13 @@ def test_closure_examples():
     again = closure_under_strategies(fam, [UnionStrategy(D2), comp])
     assert again.members == fam.members
 
-    const = RoundRobinStrategy(D3, [0b010])
+    const = RoundRobinStrategy([0b010])
     fam2 = closure_under_strategies(OpenFamily(D3, []), [const])
     assert fam2.members == frozenset({0b010})
 
 
 def test_closure_drops_empty_seed_members():
-    fam = closure_under_strategies(OpenFamily(D2, [0, 0b01]), [RoundRobinStrategy(D2, [0b01])])
+    fam = closure_under_strategies(OpenFamily(D2, [0, 0b01]), [RoundRobinStrategy([0b01])])
     assert fam.members == frozenset({0b01})
 
 
@@ -511,7 +511,7 @@ def test_closure_lemma_with_a_negative_control():
         opens = space.nonempty_opens()
         seeds = [()] + [(o,) for o in opens] + list(itertools.combinations(opens, 2))
         winners = [solve_open_open(space).strategy, minimal_open_strategy(space)]
-        losers = (RoundRobinStrategy(space, [a]) for a in opens)
+        losers = (RoundRobinStrategy([a]) for a in opens)
         loser = next((s for s in losers if not verify_winning(space, s).winning), None)
         for members in seeds:
             seed = OpenFamily(space, members)

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from topolab import jsonio
-from topolab.game import EchoStrategy, minimal_open_strategy, play, solve_open_open
+from topolab.game import EchoStrategy, play, solve_open_open
 from topolab.randgen import (
     random_family,
     random_quotient_chain,
@@ -26,6 +26,15 @@ def test_space_canonical_form():
     assert blob == {"points": 2, "opens": [[], [0, 1], [1]]}
     assert jsonio.dumps(blob) == '{"opens":[[],[0,1],[1]],"points":2}\n'
     assert jsonio.decode_space(blob) == s
+
+
+def test_space_with_a_bool_point_count_round_trips():
+    # the constructor stores the int, so the encoder never writes true
+    space = FiniteSpace(True, [0, 1])
+    assert type(space.point_count) is int
+    text = jsonio.dumps(jsonio.encode_space(space))
+    assert text == '{"opens":[[],[0]],"points":1}\n'
+    assert jsonio.decode_space(json.loads(text)) == space
 
 
 def test_family_encoding():
@@ -50,11 +59,6 @@ def test_transcript_solution_strategy_encoding():
     enc = jsonio.encode_solution(sol)
     assert enc["winner"] == "I"
     assert enc["win_table"][0] == {"covered": [], "status": "win", "move": [0]}
-
-    strat = jsonio.encode_strategy(minimal_open_strategy(d2))
-    assert strat == {"kind": "round_robin", "player": "I", "moves": [[0], [1]]}
-    pos = jsonio.encode_strategy(sol.strategy)
-    assert pos["kind"] == "positional" and len(pos["table"]) == 4
 
 
 def test_random_roundtrips_are_lossless():
@@ -234,58 +238,26 @@ def test_huge_member_index_rejected_without_allocating():
     assert proc.stdout.startswith("rejected: each member must be a list of points")
 
 
-def test_strategy_and_solution_encodings_golden():
-    from topolab.game import (
-        EchoStrategy,
-        MinimalReplyStrategy,
-        RoundRobinStrategy,
-        TableStrategy,
-    )
-    from topolab.systems import LimitRoundRobin
+def test_transducer_and_solution_encodings_golden():
+    from topolab.game import TableStrategy
 
-    sierp, d2, c3 = FiniteSpace.sierpinski(), FiniteSpace.discrete(2), FiniteSpace.chain(3)
+    sierp = FiniteSpace.sierpinski()
     # clopen atoms {0} and {1,2}; {1} is open but not closed
     atoms = FiniteSpace(3, [0, 0b001, 0b010, 0b011, 0b110, 0b111])
-    table = TableStrategy(
-        "II", 1, {(1, 0b11): (0b01, 0), (0, None): (0b10, 1), (0, 0b01): (0b01, 1)}
+    table = TableStrategy(1, {(1, 0b11): (0b01, 0), (0, None): (0b10, 1), (0, 0b01): (0b01, 1)})
+    assert jsonio.dumps(jsonio.encode_transducer(table)) == jsonio.dumps(
+        [
+            {"state": 0, "observed": None, "move": [1], "next": 1},
+            {"state": 0, "observed": [0], "move": [0], "next": 1},
+            {"state": 1, "observed": [0, 1], "move": [0], "next": 0},
+        ]
     )
+
     sierp_table = [
         {"covered": [], "status": "win", "move": [1]},
         {"covered": [1], "status": "dense", "move": None},
         {"covered": [0, 1], "status": "dense", "move": None},
     ]
-    cases = [
-        (
-            solve_open_open(sierp).strategy,
-            {"kind": "positional", "player": "I", "table": sierp_table},
-        ),
-        (
-            RoundRobinStrategy(c3, [0b001, 0b011]),
-            {"kind": "round_robin", "player": "I", "moves": [[0], [0, 1]]},
-        ),
-        (
-            LimitRoundRobin(d2, [0b01, 0b10], (0, 1)),
-            {"kind": "limit_round_robin", "player": "I", "moves": [[0], [1]], "chain": [0, 1]},
-        ),
-        (
-            table,
-            {
-                "kind": "table",
-                "player": "II",
-                "init": 1,
-                "table": [
-                    {"state": 0, "observed": None, "move": [1], "next": 1},
-                    {"state": 0, "observed": [0], "move": [0], "next": 1},
-                    {"state": 1, "observed": [0, 1], "move": [0], "next": 0},
-                ],
-            },
-        ),
-        (EchoStrategy(), {"kind": "echo", "player": "II"}),
-        (MinimalReplyStrategy(sierp), {"kind": "minimal", "player": "II"}),
-    ]
-    for strategy, expected in cases:
-        assert jsonio.dumps(jsonio.encode_strategy(strategy)) == jsonio.dumps(expected)
-
     assert jsonio.encode_solution(solve_open_open(sierp)) == {
         "winner": "I",
         "win_table": sierp_table,

@@ -8,7 +8,7 @@ import pytest
 from topolab import families, jsonio, suites
 from topolab.enumeration import all_spaces
 from topolab.families import build_quotient
-from topolab.game import PositionalStrategy, count_ii_strategies, play
+from topolab.game import PositionalStrategy, TableStrategy, count_ii_strategies, play
 from topolab.spaces import FiniteSpace
 
 from oracles import (
@@ -219,10 +219,18 @@ def test_transducer_violations_match_playing_every_opponent(monkeypatch):
                 t = play(space, sol.strategy, opp)
                 progress = len(set(t.covered))  # covered sets only grow
                 if t.outcome != "I-wins" or progress > space.point_count:
-                    witness = [tag, states, jsonio.encode_strategy(opp)["table"][:4]]
+                    witness = [tag, states, jsonio.encode_transducer(opp)[:4]]
                     expected.append({"property": prop, "witness": witness})
     assert [v for v in rep.violations if v["property"] == prop] == expected
     assert len(expected) == 30
+    # the first witness, pinned literally so the encoder cannot move it
+    assert jsonio.dumps(expected[0]["witness"]) == (
+        '[[[],[0,1],[0,1,2],[1],[1,2],[2]],1,'
+        '[{"move":[1],"next":0,"observed":[1],"state":0},'
+        '{"move":[1],"next":0,"observed":[0,1],"state":0},'
+        '{"move":[2],"next":0,"observed":[2],"state":0},'
+        '{"move":[1],"next":0,"observed":[1,2],"state":0}]]\n'
+    )
     assert sum(v["property"] == "solver_strategy_verified" for v in rep.violations) == 2
     assert rep.counts["opponents_played"] == 17_172
 
@@ -242,7 +250,7 @@ def test_transducers_are_played_one_by_one_when_the_certificate_fails(monkeypatc
 
     def counting_play(space, strategy_i, strategy_ii, max_rounds=None):
         nonlocal tables_played
-        tables_played += strategy_ii.kind == "table"
+        tables_played += isinstance(strategy_ii, TableStrategy)
         return real_play(space, strategy_i, strategy_ii, max_rounds)
 
     monkeypatch.setattr(PositionalStrategy, "_solved_move", opening_with_the_whole_space)

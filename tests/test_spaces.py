@@ -61,10 +61,18 @@ def test_from_subbasis_range_error():
         from_subbasis(2, [0b100])
 
 
+def test_negative_point_counts_are_refused_by_name():
+    with pytest.raises(ValueError, match="point_count must be >= 0"):
+        FiniteSpace(-1, [0])
+    with pytest.raises(ValueError, match="point_count must be >= 0"):
+        from_subbasis(-1, [])
+
+
 # Each boundary converts masks and points by operator.index: a float or a
 # str is refused, not truncated, and a bool passes as the int it is.
 SPACE_BOUNDARIES = {
     "FiniteSpace": lambda v: FiniteSpace(2, [0, v, 0b11]),
+    "FiniteSpace points": lambda v: FiniteSpace(v, [0, 1]),
     "from_subbasis": lambda v: from_subbasis(2, [v]),
     "frink_conditions": lambda v: frink_conditions(D2, [v, 0b10, 0b11]),
     "SpaceMap": lambda v: SpaceMap(D2, D2, [0, v]),
